@@ -24,10 +24,7 @@ workloads, four axes:
   runs) — states/s, peak RSS, and bytes on disk per backend, plus a
   ``spill_memcap`` entry that runs the spill backend under a hard 200
   MB ``mem_cap`` (``--spill-states``, default 5M standalone) and
-  records whether the workload's RSS delta stayed under the cap; a
-  ``spill_parallel_merge`` twin runs the same workload with
-  ``merge_jobs=2`` and records merge wall time next to the serial
-  entry's;
+  records whether the workload's RSS delta stayed under the cap;
 - **por**: ample-set partial-order reduction on the exhaustive N=2
   class sweep in all four ``por x symmetry`` combinations — verdict/
   violation-set identity and the transitions cut (the acceptance bar:
@@ -134,7 +131,6 @@ def _run_workload(config: dict) -> dict:
         store_config = StoreConfig(
             backend=config["store"],
             mem_cap=config.get("mem_cap", DEFAULT_MEM_CAP),
-            merge_jobs=config.get("merge_jobs", 0),
         )
 
     def _store_detail(results) -> dict:
@@ -145,7 +141,6 @@ def _run_workload(config: dict) -> dict:
         stats = aggregate_store_statistics(results)
         return {"store": {
             "backend": store_config.backend,
-            "merge_jobs": store_config.merge_jobs,
             "entries": stats.entries,
             "file_bytes": stats.file_bytes,
             "spills": stats.spills,
@@ -841,15 +836,6 @@ def run_suite(budget: int, jobs_axis=(1, 2, 4), spill_states=None) -> dict:
     )
     store["spill_memcap"] = spill_entry
     store["conformant"] = store_conformant
-    # Parallel-merge twin of the plain spill workload: same exploration,
-    # merge_jobs=2 run consolidation.  merge_wall_ms lands in both
-    # entries' store detail, so serial vs parallel merge cost is a diff
-    # within the section (small CI budgets stay under the parallel
-    # threshold and legitimately record the serial fallback's time).
-    store["spill_parallel_merge"] = measure(
-        {"kind": "fast_single", "budget": budget, "store": "spill",
-         "merge_jobs": 2}
-    )
 
     # POR axis: the exhaustive N=2 class sweep in all four
     # por x symmetry combinations.  The acceptance bar: identical
@@ -1211,12 +1197,6 @@ def main(argv=None) -> int:
           f" (under cap: {spill_entry['rss_under_cap']}),"
           f" disk {spill_entry['store']['file_bytes'] // (1024 * 1024)} MiB")
     print(f"  store backends conformant: {store['conformant']}")
-    merge_entry = store["spill_parallel_merge"]
-    print(f"  store/spill_parallel_merge: {merge_entry['states']} states,"
-          f" {merge_entry['store']['merges']} merges in"
-          f" {merge_entry['store']['merge_wall_ms']} ms"
-          f" (merge_jobs={merge_entry['store']['merge_jobs']};"
-          f" serial twin: {store['spill']['store']['merge_wall_ms']} ms)")
     por = payload["por"]
     print(f"  por: N=2 exhaustive sweep, verdicts identical across"
           f" por x symmetry: {por['verdicts_identical']};"

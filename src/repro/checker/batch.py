@@ -16,15 +16,16 @@ this module re-expresses the exploration loop over whole BFS levels:
   min-over-permutation-tables reduction of
   :class:`~repro.checker.symmetry.FastCanonicalizer` as numpy gathers
   plus an element-wise minimum across the stabilizer orbit;
-- **fingerprinting**: :func:`splitmix64_many` is the scalar splitmix64
-  on u64 arrays — numpy uint64 multiplication wraps modulo 2**64,
-  which *is* the scalar's explicit ``& MASK64``; both sides share one
-  constants module (:mod:`repro.checker.constants`) and a property
-  test cross-checks them element-wise;
+- **fingerprinting**: :func:`~repro.checker.fingerprint.splitmix64_many`
+  is the scalar splitmix64 on u64 arrays — numpy uint64 multiplication
+  wraps modulo 2**64, which *is* the scalar's explicit ``& MASK64``;
+  both live in :mod:`repro.checker.fingerprint` (the spill store's
+  Bloom filter uses the same function) and a property test
+  cross-checks them element-wise;
 - **dedup**: ``np.unique`` per level, merged against the visited set
-  through the bulk ``contains_many``/``add_many`` store APIs (the
-  spill backend turns a level's sorted fresh keys into a sorted run
-  natively).
+  through the bulk ``contains_many``/``add_many`` store APIs, which
+  take the level's u64 arrays as they are (the spill backend turns a
+  level's sorted fresh keys into a sorted run natively).
 
 **Conformance contract.**  The scalar engine stays the oracle: for any
 unreduced configuration both engines support, :func:`explore_batch`
@@ -72,11 +73,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, ca
 from repro.checker.constants import (
     MASK64,
     SPLITMIX_GAMMA,
-    SPLITMIX_MULT1,
-    SPLITMIX_MULT2,
-    SPLITMIX_SHIFT1,
-    SPLITMIX_SHIFT2,
-    SPLITMIX_SHIFT3,
 )
 from repro.checker.fast_snapshot import (
     _PHASE_DONE,
@@ -86,11 +82,12 @@ from repro.checker.fast_snapshot import (
     FastExplorationResult,
     FastSnapshotSpec,
 )
-from repro.checker.fingerprint import fingerprint_int
+from repro.checker.fingerprint import fingerprint_int, splitmix64_many
 from repro.checker.por import FootprintTables, PORCounters
 from repro.store.base import StoreConfig
 from repro.store.checkpoint import RunCheckpointer
 from repro.store.ram import RamStore
+from repro.store.spill import in_sorted
 
 try:
     import numpy as np
@@ -127,21 +124,8 @@ def require_numpy() -> None:
 
 
 # ----------------------------------------------------------------------
-# Batched splitmix64
+# Batched fingerprints
 # ----------------------------------------------------------------------
-def splitmix64_many(values: "U64Array") -> "U64Array":
-    """The splitmix64 finalizer over a whole u64 array.
-
-    numpy uint64 arithmetic wraps modulo 2**64 — the same semantics the
-    scalar implementation gets from its explicit ``& MASK64`` — so the
-    output is element-wise identical to
-    :func:`repro.checker.fingerprint.splitmix64`.
-    """
-    mixed = (values ^ (values >> SPLITMIX_SHIFT1)) * SPLITMIX_MULT1
-    mixed = (mixed ^ (mixed >> SPLITMIX_SHIFT2)) * SPLITMIX_MULT2
-    return mixed ^ (mixed >> SPLITMIX_SHIFT3)
-
-
 def fingerprint_many(states: "U64Array") -> "U64Array":
     """Batched :func:`~repro.checker.fingerprint.fingerprint_int`.
 
@@ -154,15 +138,6 @@ def fingerprint_many(states: "U64Array") -> "U64Array":
 # ----------------------------------------------------------------------
 # Sorted-array set helpers (the raw-successor memoization cache)
 # ----------------------------------------------------------------------
-def _in_sorted(sorted_keys: "U64Array", values: "U64Array") -> "BoolArray":
-    """Membership of ``values`` in an ascending-sorted key array."""
-    if sorted_keys.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    at = np.searchsorted(sorted_keys, values)
-    at = np.minimum(at, sorted_keys.size - 1)
-    return cast("BoolArray", sorted_keys[at] == values)
-
-
 def _unique_first(keys: "U64Array") -> Tuple["U64Array", "I64Array"]:
     """``(sorted distinct keys, minimal position of each)``.
 
@@ -925,11 +900,9 @@ def explore_batch(
 
     def _in_visited(keys: "U64Array") -> "BoolArray":
         if store_obj is not None:
-            return np.asarray(
-                store_obj.contains_many(keys.tolist()), dtype=bool
-            )
+            return np.asarray(store_obj.contains_many(keys), dtype=bool)
         assert fast_visited is not None
-        return _in_sorted(fast_visited, keys)
+        return in_sorted(fast_visited, keys)
 
     try:
         initial = spec.initial_state()
@@ -1012,9 +985,7 @@ def explore_batch(
                     counters["covered"] = covered
                 if selector is not None:
                     counters.update(selector.counters.as_dict())
-                checkpointer.write(
-                    iter(frontier.tolist()), counters, iter(store_obj)
-                )
+                checkpointer.write(frontier, counters, store_obj)
 
             if selector is not None:
                 selected = selector.select(frontier, _key_of, _in_visited)
@@ -1068,7 +1039,7 @@ def explore_batch(
             visited_at: Optional["I64Array"] = None
             if store_obj is not None:
                 present = np.asarray(
-                    store_obj.contains_many(unique_keys.tolist()), dtype=bool
+                    store_obj.contains_many(unique_keys), dtype=bool
                 )
             else:
                 assert fast_visited is not None
@@ -1112,9 +1083,7 @@ def explore_batch(
                 bad_parent = int(parents[int(admitted_gen[violating_rank])])
                 transitions += int(parent_ends[bad_parent])
                 if store_obj is not None:
-                    store_obj.add_many(
-                        admitted_keys[:admitted_now].tolist()
-                    )
+                    store_obj.add_many(admitted_keys[:admitted_now])
                 n_seen += admitted_now
                 if symmetric:
                     assert batch_canon is not None
@@ -1174,7 +1143,7 @@ def explore_batch(
                 inverse = np.searchsorted(unique_keys, keys[window])
                 truncated += int(unadmitted[inverse].sum())
                 if store_obj is not None:
-                    store_obj.add_many(admitted_keys.tolist())
+                    store_obj.add_many(admitted_keys)
                 n_seen += admit_count
                 if symmetric:
                     assert batch_canon is not None
@@ -1185,7 +1154,7 @@ def explore_batch(
 
             transitions += level_size
             if store_obj is not None:
-                store_obj.add_many(admitted_keys.tolist())
+                store_obj.add_many(admitted_keys)
             else:
                 assert fast_visited is not None and visited_at is not None
                 fast_visited = _insert_sorted(

@@ -793,7 +793,7 @@ class FastSnapshotSpec:
                     checkpointer.write(
                         queue.snapshot() if packable else iter(frontier),
                         counters,
-                        iter(store_obj),
+                        store_obj,
                     )
                 if packable:
                     state = queue.pop()
@@ -1017,7 +1017,7 @@ class FastSnapshotSpec:
                     checkpointer.write(
                         queue.snapshot() if packable else iter(frontier),
                         counters,
-                        iter(store_obj),
+                        store_obj,
                     )
                 if packable:
                     state = queue.pop()

@@ -14,6 +14,10 @@ fingerprint to assign states to frontier shards deterministically):
 
 - :func:`fingerprint_int` — arbitrary-precision packed states (the fast
   bitmask explorer) folded 64 bits at a time through splitmix64;
+- :func:`splitmix64_many` — the same mix over a whole numpy u64 array
+  (the batch engine's fingerprints, the spill store's Bloom probes);
+  this module never imports numpy itself, so scalar-only callers stay
+  numpy-free;
 - :func:`fingerprint_state` — object-encoded :class:`GlobalState`\\ s,
   mixed from the state's cached structural hash.  NOTE: Python string
   hashing is randomized per interpreter, so these fingerprints are only
@@ -30,7 +34,7 @@ packed states (the common case in BFS) spread uniformly.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.checker.constants import (
     MASK64,
@@ -41,6 +45,10 @@ from repro.checker.constants import (
     SPLITMIX_SHIFT2,
     SPLITMIX_SHIFT3,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import NDArray
 
 # The constants live in repro.checker.constants, shared bit for bit
 # with the batched numpy mix (repro.checker.batch); the historical
@@ -57,6 +65,18 @@ def splitmix64(value: int) -> int:
     value = ((value ^ (value >> SPLITMIX_SHIFT1)) * SPLITMIX_MULT1) & MASK64
     value = ((value ^ (value >> SPLITMIX_SHIFT2)) * SPLITMIX_MULT2) & MASK64
     return value ^ (value >> SPLITMIX_SHIFT3)
+
+
+def splitmix64_many(values: "NDArray[np.uint64]") -> "NDArray[np.uint64]":
+    """The splitmix64 finalizer over a whole u64 array.
+
+    numpy uint64 arithmetic wraps modulo 2**64 — the same semantics
+    :func:`splitmix64` gets from its explicit ``& MASK64`` — so the
+    output is element-wise identical to the scalar function.
+    """
+    mixed = (values ^ (values >> SPLITMIX_SHIFT1)) * SPLITMIX_MULT1
+    mixed = (mixed ^ (mixed >> SPLITMIX_SHIFT2)) * SPLITMIX_MULT2
+    return mixed ^ (mixed >> SPLITMIX_SHIFT3)
 
 
 def fingerprint_int(state: int) -> int:

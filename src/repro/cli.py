@@ -272,6 +272,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
         else Path(args.checkpoint_dir) if args.checkpoint_dir is not None
         else None
     )
+    if args.store == "spill":
+        from repro.store.spill import require_numpy as require_spill_numpy
+
+        try:
+            require_spill_numpy()
+        except StoreError as exc:
+            print(f"error: {exc}")
+            return 2
     store_cfg = None
     if args.store != "ram" or args.store_dir is not None:
         store_cfg = StoreConfig(
@@ -925,8 +933,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", choices=list(BACKENDS), default="ram",
         help="visited-set backend: ram (default), mmap (open-addressing"
              " table in a memory-mapped file, fixed --mem-cap), or spill"
-             " (bounded RAM buffer + sorted on-disk runs, TLC-style;"
-             " unbounded state counts)",
+             " (bounded RAM buffer + sorted on-disk u64 runs, TLC-style;"
+             " unbounded state counts; membership, inserts, merges and"
+             " checkpoint dumps run on numpy arrays, so spill requires"
+             " numpy)",
     )
     check.add_argument(
         "--store-dir", default=None, metavar="DIR",

@@ -16,8 +16,10 @@ reproduction the same storage layer behind one interface:
   limit;
 - :class:`SpillStore` — TLC's trade: a bounded in-RAM buffer that
   spills sorted runs to disk, with periodic run merging and a Bloom
-  filter short-circuiting lookups of never-seen keys.  RAM stays under
-  ``mem_cap`` however many states the run visits.
+  filter short-circuiting lookups of never-seen keys, all on numpy u64
+  arrays (the one backend that needs numpy; it is imported on first
+  use).  RAM stays under ``mem_cap`` however many states the run
+  visits.
 
 All three are exact sets (the Bloom filter only short-circuits
 *misses*), so every engine reports identical states/transitions/
@@ -28,6 +30,8 @@ BFS runs (frontier + visited dump + counters + configuration metadata)
 so a killed exhaustive run resumes exactly where it stopped:
 ``python -m repro check --resume DIR``.
 """
+
+from typing import TYPE_CHECKING, Any
 
 from repro.store.base import (
     DEFAULT_MEM_CAP,
@@ -45,11 +49,25 @@ from repro.store.checkpoint import (
     SweepCheckpoint,
     load_meta,
     read_u64_file,
+    write_u64_chunks,
     write_u64_file,
 )
 from repro.store.mmap_table import MmapStore
 from repro.store.ram import RamStore
-from repro.store.spill import SpillStore
+
+if TYPE_CHECKING:
+    from repro.store.spill import SpillStore
+
+
+def __getattr__(name: str) -> Any:
+    # The spill store needs numpy; importing it on first use keeps
+    # ``import repro.store`` (ram, mmap, checkpoints) numpy-free.
+    if name == "SpillStore":
+        from repro.store import spill
+
+        return spill.SpillStore
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BACKENDS",
@@ -68,5 +86,6 @@ __all__ = [
     "load_meta",
     "read_u64_file",
     "require_cross_process_stable",
+    "write_u64_chunks",
     "write_u64_file",
 ]

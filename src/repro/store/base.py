@@ -8,8 +8,12 @@ deduplicate on.  The contract every backend honours:
   (the hot-path operation: one call per generated transition);
 - membership is *exact* — a backend may use probabilistic structures
   only to short-circuit misses, never to answer "present";
-- :meth:`FingerprintStore.__iter__` streams every stored key, which is
-  what checkpointing dumps and resume reloads;
+- :meth:`FingerprintStore.__iter__` streams every stored key, and
+  :meth:`FingerprintStore.chunks` streams the same keys as u64 arrays,
+  which is what checkpointing dumps and resume reloads;
+- the bulk methods take a plain sequence of ints or a u64 ndarray
+  (:data:`KeyBatch`), so the batch engine hands its level arrays over
+  as they are;
 - behaviour is deterministic: two identical runs against the same
   backend produce identical results, and all backends produce identical
   exploration counts (tested exhaustively for N=2).
@@ -23,9 +27,13 @@ from __future__ import annotations
 
 import tempfile
 from abc import ABC, abstractmethod
+from array import array
+from collections import abc
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -34,7 +42,20 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import NDArray
+
+    U64Array = NDArray[np.uint64]
+
+#: What the bulk store methods accept: plain ints or a u64 ndarray.
+KeyBatch = Union[Sequence[int], "U64Array"]
+#: One piece of an ordered key stream: anything with ``tofile`` that
+#: holds raw native-endian u64 words.
+U64Chunk = Union["array[int]", "U64Array"]
 
 #: Maximum key width the disk-backed stores accept: one table slot /
 #: run entry is a raw unsigned 64-bit word.
@@ -46,6 +67,8 @@ DEFAULT_MEM_CAP = 64 * 1024 * 1024
 
 #: The recognised backend names, in CLI order.
 BACKENDS: Tuple[str, ...] = ("ram", "mmap", "spill")
+#: Keys per chunk when a per-key stream is cut into u64 arrays.
+CHUNK_KEYS = 4096
 
 
 class StoreError(ValueError):
@@ -71,6 +94,24 @@ def require_u64(key: int) -> int:
             f" (--fingerprint) for state encodings wider than 64 bits"
         )
     return key
+
+
+def as_int_sequence(keys: KeyBatch) -> Sequence[int]:
+    """``keys`` as Python ints: an ndarray is converted once, in C."""
+    if isinstance(keys, abc.Sequence):
+        return keys
+    converted: List[int] = keys.tolist()
+    return converted
+
+
+def u64_chunks(keys: Iterable[int]) -> Iterator["array[int]"]:
+    """Cut a stream of keys into consecutive ``array('Q')`` chunks."""
+    iterator = iter(keys)
+    while True:
+        chunk = array("Q", islice(iterator, CHUNK_KEYS))
+        if not chunk:
+            return
+        yield chunk
 
 
 def require_cross_process_stable(fingerprint_fn: Callable[..., int]) -> None:
@@ -118,6 +159,15 @@ class FingerprintStore(ABC):
     def __iter__(self) -> Iterator[int]:
         """Stream every stored key (order unspecified but deterministic)."""
 
+    def chunks(self) -> Iterator[U64Chunk]:
+        """Stream every stored key, in :meth:`__iter__` order, as chunks.
+
+        Checkpoints dump the visited set through this; the default cuts
+        the per-key iteration into ``array('Q')`` chunks, and the spill
+        store overrides it with ascending numpy chunks read run by run.
+        """
+        return u64_chunks(self)
+
     def load(self, keys: Iterable[int]) -> int:
         """Bulk-insert (checkpoint resume); returns the number added."""
         added = 0
@@ -126,7 +176,7 @@ class FingerprintStore(ABC):
                 added += 1
         return added
 
-    def contains_many(self, keys: Sequence[int]) -> List[bool]:
+    def contains_many(self, keys: KeyBatch) -> List[bool]:
         """Membership for a whole batch: ``[key in self for key in keys]``.
 
         The level-batched engine (:mod:`repro.checker.batch`) probes a
@@ -135,9 +185,9 @@ class FingerprintStore(ABC):
         engine from day one; backends with a cheaper bulk structure
         (the spill store's sorted runs) override it.
         """
-        return [key in self for key in keys]
+        return [key in self for key in as_int_sequence(keys)]
 
-    def add_many(self, keys: Sequence[int]) -> int:
+    def add_many(self, keys: KeyBatch) -> int:
         """Insert a whole batch; returns the number newly added.
 
         Same contract as calling :meth:`add` per key, in order — the
@@ -147,7 +197,7 @@ class FingerprintStore(ABC):
         """
         added = 0
         add = self.add
-        for key in keys:
+        for key in as_int_sequence(keys):
             if add(key):
                 added += 1
         return added
@@ -176,16 +226,12 @@ class StoreConfig:
     runs, useless for resume — checkpointing requires an explicit
     directory).  ``mem_cap`` is the backend's total memory budget in
     bytes: the mmap table's file size, the spill store's RAM envelope
-    (buffer + Bloom filter + run indexes).  ``merge_jobs`` lets the
-    spill backend consolidate sorted runs with a worker pool (0/1 =
-    serial; the parallel path kicks in only for large merges and falls
-    back to serial inside daemonic worker processes).
+    (buffer + Bloom filter + run indexes).
     """
 
     backend: str = "ram"
     directory: Optional[str] = None
     mem_cap: int = DEFAULT_MEM_CAP
-    merge_jobs: int = 0
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -195,8 +241,6 @@ class StoreConfig:
             )
         if self.mem_cap <= 0:
             raise StoreError("mem_cap must be a positive byte count")
-        if self.merge_jobs < 0:
-            raise StoreError("merge_jobs must be >= 0 (0/1 = serial merge)")
 
     def resolve_directory(self, shard: Optional[str] = None) -> Optional[Path]:
         """The directory a store instance should use (created if needed)."""
@@ -215,7 +259,6 @@ class StoreConfig:
         """Build the configured backend (namespaced under ``shard``)."""
         from repro.store.mmap_table import MmapStore
         from repro.store.ram import RamStore
-        from repro.store.spill import SpillStore
 
         directory = self.resolve_directory(shard)
         if self.backend == "ram":
@@ -223,6 +266,8 @@ class StoreConfig:
         assert directory is not None
         if self.backend == "mmap":
             return MmapStore(directory, mem_cap=self.mem_cap)
-        return SpillStore(
-            directory, mem_cap=self.mem_cap, merge_jobs=self.merge_jobs
-        )
+        # Imported here: the spill store is the one backend that needs
+        # numpy.
+        from repro.store.spill import SpillStore
+
+        return SpillStore(directory, mem_cap=self.mem_cap)

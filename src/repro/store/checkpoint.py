@@ -35,10 +35,25 @@ import warnings
 from array import array
 from itertools import chain
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Type, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Type,
+    TypeVar,
+    Union,
+    cast,
+)
 
-#: Keys buffered per ``tofile`` call when streaming u64 files.
-_CHUNK = 4096
+from repro.store.base import FingerprintStore, U64Chunk, u64_chunks
+
+if TYPE_CHECKING:
+    from repro.store.base import U64Array
+
 _COMMIT = "COMMIT"
 _META = "meta.json"
 _RESULT = "result.json"
@@ -60,19 +75,31 @@ class CheckpointIncompatible(CheckpointError):
 # u64 array files — the frontier / visited wire format.
 
 
-def write_u64_file(path: Path, keys: Iterable[int]) -> int:
-    """Stream unsigned 64-bit ``keys`` to ``path``; return the count."""
-    block = array("Q")
+def write_u64_file(
+    path: Path, keys: Union["U64Array", Iterable[int]]
+) -> int:
+    """Write unsigned 64-bit ``keys`` to ``path``; return the count.
+
+    A u64 ndarray goes out in one ``tofile`` call; any other iterable
+    of ints is streamed in ``array('Q')`` chunks.  Both write the same
+    raw native-endian words.
+    """
+    dtype = getattr(keys, "dtype", None)
+    if dtype is None:
+        return write_u64_chunks(path, u64_chunks(keys))
+    if dtype != "uint64":
+        raise TypeError(f"write_u64_file needs a uint64 array, got {dtype}")
+    return write_u64_chunks(path, [cast("U64Array", keys)])
+
+
+def write_u64_chunks(path: Path, chunks: Iterable[U64Chunk]) -> int:
+    """Write consecutive u64 ``chunks`` (arrays) to ``path``; return
+    the key count."""
     count = 0
     with open(path, "wb") as handle:
-        for key in keys:
-            block.append(key)
-            count += 1
-            if len(block) == _CHUNK:
-                block.tofile(handle)
-                del block[:]
-        if block:
-            block.tofile(handle)
+        for chunk in chunks:
+            chunk.tofile(handle)
+            count += len(chunk)
     return count
 
 
@@ -373,14 +400,22 @@ class RunCheckpointer:
 
     def write(
         self,
-        frontier: Iterable[int],
+        frontier: Union["U64Array", Iterable[int]],
         counters: Dict[str, Any],
-        visited: Iterable[int],
+        visited: Union[FingerprintStore, Iterable[int]],
     ) -> Checkpoint:
-        """One-call checkpoint for the serial engines."""
+        """One-call checkpoint for the serial engines.
+
+        ``visited`` is the run's store, dumped through its
+        :meth:`~repro.store.base.FingerprintStore.chunks` stream, or
+        any iterable of keys.
+        """
         staging = self.begin()
         write_u64_file(staging / "frontier.u64", frontier)
-        write_u64_file(staging / "visited.u64", visited)
+        if isinstance(visited, FingerprintStore):
+            write_u64_chunks(staging / "visited.u64", visited.chunks())
+        else:
+            write_u64_file(staging / "visited.u64", visited)
         return self.commit(staging, counters)
 
     def mark_complete(self, result: Dict[str, Any]) -> None:

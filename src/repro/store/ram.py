@@ -10,9 +10,9 @@ historical ``in`` + ``.add`` pair.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Sequence, Set
+from typing import Callable, Dict, Iterator, List, Set
 
-from repro.store.base import FingerprintStore
+from repro.store.base import FingerprintStore, KeyBatch, as_int_sequence
 
 
 class RamStore(FingerprintStore):
@@ -50,14 +50,14 @@ class RamStore(FingerprintStore):
     def __contains__(self, key: int) -> bool:
         return key in self._set
 
-    def contains_many(self, keys: Sequence[int]) -> List[bool]:
+    def contains_many(self, keys: KeyBatch) -> List[bool]:
         _set = self._set
-        return [key in _set for key in keys]
+        return [key in _set for key in as_int_sequence(keys)]
 
-    def add_many(self, keys: Sequence[int]) -> int:
+    def add_many(self, keys: KeyBatch) -> int:
         _set = self._set
         before = len(_set)
-        _set.update(keys)
+        _set.update(as_int_sequence(keys))
         return len(_set) - before
 
     def __len__(self) -> int:

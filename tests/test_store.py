@@ -5,7 +5,10 @@ Three layers of coverage:
 - **unit**: each backend honours the :class:`FingerprintStore`
   contract (add-reports-newness, exact membership, deterministic
   iteration, bulk load), including the mmap table's zero-key slot and
-  load limit and the spill store's spill/merge/Bloom machinery;
+  load limit and the spill store's spill/merge/Bloom machinery — the
+  spill store also against a Python-set model under random operation
+  sequences, and pinned to exact counters on the benchmark's
+  mem-capped class;
 - **guards**: >64-bit keys and per-interpreter fingerprint functions
   are rejected loudly, and engine/store combinations that cannot work
   (object tables on disk, wait-freedom on a digest store) raise up
@@ -17,7 +20,11 @@ Three layers of coverage:
 """
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.checker.parallel as parallel
@@ -31,6 +38,7 @@ from repro.core import SnapshotMachine
 from repro.memory.wiring import WiringAssignment
 from repro.store import (
     BACKENDS,
+    RunCheckpointer,
     StoreConfig,
     StoreError,
     StoreFullError,
@@ -38,6 +46,8 @@ from repro.store import (
 )
 
 WIRING = ((0, 1), (0, 1))
+#: Runs the spill store accumulates before it merges them.
+_MERGE_AT = 6
 
 
 def _keys(count, seed=7):
@@ -232,44 +242,197 @@ class TestSpillStore:
         finally:
             store.close()
 
-    def test_parallel_merge_matches_serial(self, tmp_path, monkeypatch):
-        # Shrink the parallel-merge floor so the test-sized key set
-        # takes the worker-pool path; the serial twin is the oracle.
+
+class TestSpillModel:
+    """The spill store against a Python set, under random operation
+    sequences that cross every path: buffer spills, direct sorted runs,
+    merges, scalar and bulk calls, list and ndarray inputs."""
+
+    @staticmethod
+    def _batch(rng, pool, size):
+        keys = [rng.choice(pool) for _ in range(size)]
+        return np.array(keys, dtype=np.uint64) if rng.random() < 0.5 else keys
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_set_model(self, tmp_path, monkeypatch, seed):
         from repro.store import spill as spill_module
 
-        monkeypatch.setattr(spill_module, "_PARALLEL_MERGE_MIN", 1000)
-        serial = StoreConfig(
-            backend="spill", directory=str(tmp_path / "serial"),
-            mem_cap=4096,
-        ).create()
-        parallel = StoreConfig(
-            backend="spill", directory=str(tmp_path / "parallel"),
-            mem_cap=4096, merge_jobs=4,
-        ).create()
-        keys = _keys(20_000)
+        if seed % 2:
+            # Gather two blocks at a time, so probes and merge cuts
+            # cross many gather groups.
+            monkeypatch.setattr(spill_module, "_GATHER_BLOCKS", 2)
+        rng = random.Random(seed)
+        # A finite pool makes repeats (hits) common; the extremes of
+        # the u64 range ride along.
+        pool = _keys(30_000, seed=100 + seed) + [0, 2**64 - 1]
+        store = _make("spill", tmp_path, mem_cap=4096)
+        model = set()
         try:
-            for key in keys:
-                assert serial.add(key)
-                assert parallel.add(key)
-            assert list(serial) == list(parallel)  # both ascending
-            assert len(parallel) == len(keys)
-            probes = _keys(2000, seed=3)
-            assert all(
-                (key in parallel) == (key in serial) for key in probes
-            )
-            counters = parallel.counters()
+            for _ in range(120):
+                op = rng.random()
+                if op < 0.25:
+                    for key in rng.sample(pool, 40):
+                        assert store.add(key) == (key not in model)
+                        model.add(key)
+                elif op < 0.55:
+                    # Up to 2x the 1024-key buffer: small batches go to
+                    # the buffer, large fresh ones become runs directly.
+                    batch = self._batch(rng, pool, rng.randrange(1, 2048))
+                    fresh = {int(key) for key in batch} - model
+                    assert store.add_many(batch) == len(fresh)
+                    model |= fresh
+                elif op < 0.85:
+                    batch = self._batch(rng, pool, rng.randrange(0, 3000))
+                    assert store.contains_many(batch) == [
+                        int(key) in model for key in batch
+                    ]
+                else:
+                    for key in rng.sample(pool, 40):
+                        assert (key in store) == (key in model)
+                assert len(store) == len(model)
+            counters = store.counters()
+            assert counters["spills"] >= _MERGE_AT
             assert counters["merges"] >= 1
-            # A parallel merge leaves one (disjoint, ordered) run per
-            # partition instead of one run total.
-            assert counters["runs"] >= 1
-            assert counters["merge_wall_ms"] >= 0
+            assert counters["entries"] == len(model)
+            assert list(store) == sorted(model)
+            chunks = list(store.chunks())
+            assert all(chunk.dtype == np.uint64 for chunk in chunks)
+            assert np.concatenate(chunks).tolist() == sorted(model)
+            assert store.file_bytes() == 8 * (counters["entries"] - store._buffered())
         finally:
-            serial.close()
-            parallel.close()
+            store.close()
 
-    def test_merge_jobs_validation(self):
-        with pytest.raises(StoreError, match="merge_jobs"):
-            StoreConfig(backend="spill", merge_jobs=-1)
+    def test_disk_probes_count_blocks_of_unresolved_keys(self, tmp_path):
+        # Two direct runs of 2048 keys (4 blocks each).  Keys held by
+        # the first run touch one of its blocks and are then resolved,
+        # so the second run is never read for them.
+        first, second = sorted(_keys(4096))[::2], sorted(_keys(4096))[1::2]
+        store = _make("spill", tmp_path, mem_cap=4096)
+        try:
+            store.add_many(first)
+            store.add_many(second)
+            assert store.counters()["runs"] == 2
+            before = store.counters()["disk_probes"]
+            assert store.contains_many(first[-10:]) == [True] * 10
+            assert store.counters()["disk_probes"] == before + 1
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("bad", [1 << 64, -1])
+    def test_out_of_range_keys_raise_store_error(self, tmp_path, bad):
+        store = _make("spill", tmp_path, mem_cap=4096)
+        try:
+            store.add_many(_keys(3000))
+            for call in (store.add_many, store.contains_many):
+                with pytest.raises(StoreError, match="64-bit"):
+                    call([5, bad, 7])
+            with pytest.raises(StoreError, match="64-bit"):
+                store.add_many(np.array([5, bad % 2**63 - 2**62, -3]))
+            assert len(store) == 3000  # nothing of a rejected batch landed
+        finally:
+            store.close()
+
+    def test_resume_load_streams_in_batches(self, tmp_path):
+        keys = _keys(5000)
+        store = _make("spill", tmp_path, mem_cap=4096)
+        try:
+            assert store.load(iter(keys)) == len(keys)
+            assert store.load(iter(keys)) == 0
+            assert list(store) == sorted(keys)
+        finally:
+            store.close()
+
+
+class TestSpillWithoutNumpy:
+    """numpy is a soft dependency: a spill store without it is a named
+    error, and ``import repro.store`` never imports numpy."""
+
+    @pytest.fixture
+    def no_numpy(self, monkeypatch):
+        from repro.store import spill as spill_module
+
+        monkeypatch.setattr(spill_module, "np", None)
+
+    def test_create_names_numpy(self, tmp_path, no_numpy):
+        config = StoreConfig(backend="spill", directory=str(tmp_path))
+        with pytest.raises(StoreError, match="numpy is not installed"):
+            config.create()
+
+    def test_cli_exits_2_naming_numpy(self, capsys, no_numpy):
+        from repro.cli import main
+
+        assert main(["check", "--n", "2", "--store", "spill"]) == 2
+        assert "numpy is not installed" in capsys.readouterr().out
+
+    def test_store_package_import_is_numpy_free(self):
+        probe = (
+            "import sys, repro.store;"
+            " from repro.store import StoreConfig;"
+            " StoreConfig(backend='ram').create();"
+            " assert 'numpy' not in sys.modules, 'numpy imported'"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        subprocess.run(
+            [sys.executable, "-c", probe], check=True,
+            env={"PYTHONPATH": str(src)},
+        )
+
+
+class TestClassMemcapPinned:
+    """The benchmark's ``class-memcap`` call, pinned to exact counters.
+
+    N=3 identity class, labels (18, 73, 98), symmetry + POR, batch
+    engine, a spill store capped at 1 MiB and a checkpoint every 25,000
+    admitted states, stopped at 120,000 representatives.  Every store
+    and POR counter below is part of the workload's shape: a change in
+    any of them means the store took a different path, not just a
+    faster one.
+    """
+
+    def test_counters(self, tmp_path, monkeypatch):
+        from repro.checker.fast_snapshot import canonical_wiring_classes
+        from repro.store import checkpoint as checkpoint_module
+
+        identity = (0, 1, 2)
+        (wiring,) = [
+            wiring for wiring in canonical_wiring_classes(3, 3)
+            if all(row == identity for row in wiring)
+        ]
+        writes = []
+        write = checkpoint_module.RunCheckpointer.write
+
+        def counting_write(self, *args, **kwargs):
+            writes.append(1)
+            return write(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            checkpoint_module.RunCheckpointer, "write", counting_write
+        )
+        result = FastSnapshotSpec((18, 73, 98), wiring).explore(
+            max_states=120_000, symmetry=True, por=True, engine="batch",
+            kernel="numpy",
+            store=StoreConfig(
+                backend="spill", directory=str(tmp_path / "store"),
+                mem_cap=1 << 20,
+            ),
+            checkpointer=RunCheckpointer(
+                tmp_path / "checkpoint", {"workload": "class-memcap"},
+                every=25_000,
+            ),
+        )
+        assert result.ok and result.states == 120_000
+        store = dict(result.store_counters)
+        store.pop("merge_wall_ms")
+        assert store == {
+            "entries": 120_000, "spills": 7, "merges": 1, "runs": 2,
+            "disk_probes": 1039, "bloom_skips": 294_710,
+            "file_bytes": 930_160,
+        }
+        assert result.por_counters == {
+            "transitions_pruned": 96_166, "ample_states": 48_083,
+            "fully_expanded_states": 49_466, "cycle_proviso_expansions": 4,
+        }
+        assert len(writes) == 2
 
 
 # ----------------------------------------------------------------------
