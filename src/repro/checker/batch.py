@@ -22,10 +22,13 @@ this module re-expresses the exploration loop over whole BFS levels:
   both live in :mod:`repro.checker.fingerprint` (the spill store's
   Bloom filter uses the same function) and a property test
   cross-checks them element-wise;
-- **dedup**: ``np.unique`` per level, merged against the visited set
-  through the bulk ``contains_many``/``add_many`` store APIs, which
-  take the level's u64 arrays as they are (the spill backend turns a
-  level's sorted fresh keys into a sorted run natively).
+- **dedup**: one ``unique_first`` pass per level over the keys of
+  every generated successor (no memo of raw successors: canonicalizing
+  the whole level costs less than deduplicating it twice), merged
+  against the visited set through the bulk ``contains_many``/
+  ``add_many`` store APIs, which take the level's u64 arrays as they
+  are (the spill backend turns a level's sorted fresh keys into a
+  sorted run natively).
 
 **Conformance contract.**  The scalar engine stays the oracle: for any
 unreduced configuration both engines support, :func:`explore_batch`
@@ -136,7 +139,7 @@ def fingerprint_many(states: "U64Array") -> "U64Array":
 
 
 # ----------------------------------------------------------------------
-# Sorted-array set helpers (the raw-successor memoization cache)
+# Sorted-array set helpers (level dedup and the in-engine visited set)
 # ----------------------------------------------------------------------
 def _unique_first(keys: "U64Array") -> Tuple["U64Array", "I64Array"]:
     """``(sorted distinct keys, minimal position of each)``.
@@ -199,6 +202,37 @@ def _insert_sorted(
     if fresh.size == 0:
         return sorted_keys
     return np.insert(sorted_keys, at, fresh)
+
+
+def _trip_truncations(
+    successors: "U64Array",
+    keys: "U64Array",
+    unique_keys: "U64Array",
+    unadmitted: "BoolArray",
+    start: int,
+    end: int,
+    distinct_raw: bool,
+) -> int:
+    """Truncated transitions of a budget trip's window ``[start, end)``.
+
+    The window runs from the first occurrence of the first key the
+    budget turned away to the end of that parent's successor buffer (at
+    most ``n*(m+1)`` entries).  Each entry counts when its key is one
+    of the ``unadmitted`` fresh keys (a mask over ``unique_keys``).
+
+    ``distinct_raw`` replays the scalar symmetric loop's raw-successor
+    cache, which skips a raw successor it has met before: each raw
+    successor then counts once, at its first occurrence *in the
+    window*.  Earlier occurrences need no lookup: a raw successor met
+    in an earlier level or earlier in this one has its key in the
+    visited set or admitted before the trip, so it never counts.
+    """
+    window = slice(start, end)
+    hits = unadmitted[np.searchsorted(unique_keys, keys[window])]
+    if distinct_raw:
+        _, first = np.unique(successors[window], return_index=True)
+        hits = hits[first]
+    return int(hits.sum())
 
 
 # ----------------------------------------------------------------------
@@ -887,9 +921,7 @@ def explore_batch(
     # (canonicalization then fingerprinting, as configured), and bulk
     # membership in the visited set as of the level boundary.  The
     # closures read ``batch_canon``/``fast_visited``/``store_obj`` from
-    # this scope, so they always see the current level's snapshot —
-    # never the raw-successor memoization cache, which is not
-    # checkpointed and must not influence selection.
+    # this scope, so they always see the current level's snapshot.
     def _key_of(states: "U64Array") -> "U64Array":
         reps = (
             batch_canon.canonical_many(states)
@@ -954,21 +986,15 @@ def explore_batch(
                 covered = canonicalizer.orbit_size(initial)
             frontier = np.array([initial], dtype=np.uint64)
 
-        # Raw-successor memoization, mirroring the scalar symmetric
-        # loop's cache semantics exactly (RAM-backed, non-fingerprint
-        # runs only): a raw successor seen before — in any earlier
-        # level or earlier in this one — is skipped before
-        # canonicalization, which both saves the gather work and keeps
-        # budget-clipped ``truncated_transitions`` counts identical.
-        raw_seen: Optional["U64Array"] = None
-        if symmetric and not fingerprint:
-            if store_obj is None:
-                assert fast_visited is not None
-                raw_seen = fast_visited.copy()
-            elif isinstance(store_obj, RamStore):
-                raw_seen = np.fromiter(
-                    store_obj, dtype=np.uint64, count=len(store_obj)
-                )
+        # The scalar symmetric loop keeps a raw-successor cache in
+        # RAM-backed, non-fingerprint runs.  It never changes which
+        # keys are admitted, only how a budget trip counts a raw
+        # successor repeated in its window (see _trip_truncations).
+        distinct_raw = (
+            symmetric
+            and not fingerprint
+            and (store_obj is None or isinstance(store_obj, RamStore))
+        )
 
         complete = True
         while frontier.size:
@@ -998,29 +1024,10 @@ def explore_batch(
             if level_size == 0:
                 break
 
-            # Candidate filter: generation positions that survive the
-            # raw-successor cache (everything, when the cache is off).
-            if raw_seen is not None:
-                unique_raw, first_raw = level_kernel.unique_first(successors)
-                seen_raw, at_raw = level_kernel.probe_sorted(
-                    raw_seen, unique_raw
-                )
-                fresh_raw = ~seen_raw
-                keep = np.zeros(level_size, dtype=bool)
-                keep[first_raw[fresh_raw]] = True
-                candidate_positions = np.flatnonzero(keep)
-                candidates = successors[candidate_positions]
-                raw_seen = _insert_sorted(
-                    raw_seen, at_raw[fresh_raw], unique_raw[fresh_raw]
-                )
-            else:
-                candidate_positions = None
-                candidates = successors
-
             if batch_canon is not None:
-                representatives = batch_canon.canonical_many(candidates)
+                representatives = batch_canon.canonical_many(successors)
             else:
-                representatives = candidates
+                representatives = successors
             keys = (
                 level_kernel.fingerprint_many(representatives)
                 if fingerprint
@@ -1058,10 +1065,6 @@ def explore_batch(
             admitted_idx = ordered_first[:admit_count]
             admitted_states = representatives[admitted_idx]
             admitted_keys = keys[admitted_idx]
-            if candidate_positions is not None:
-                admitted_gen = candidate_positions[admitted_idx]
-            else:
-                admitted_gen = admitted_idx
 
             violating_rank = -1
             message: Optional[str] = None
@@ -1080,7 +1083,7 @@ def explore_batch(
             if violating_rank >= 0:
                 assert parents is not None and parent_ends is not None
                 admitted_now = violating_rank + 1
-                bad_parent = int(parents[int(admitted_gen[violating_rank])])
+                bad_parent = int(parents[int(admitted_idx[violating_rank])])
                 transitions += int(parent_ends[bad_parent])
                 if store_obj is not None:
                     store_obj.add_many(admitted_keys[:admitted_now])
@@ -1116,32 +1119,16 @@ def explore_batch(
                 # of that parent's buffer, then stops.
                 assert parents is not None and parent_ends is not None
                 complete = False
-                trip_candidate = int(ordered_first[admit_count])
-                if candidate_positions is not None:
-                    trip_gen = int(candidate_positions[trip_candidate])
-                    candidate_gen = candidate_positions
-                else:
-                    trip_gen = trip_candidate
-                    candidate_gen = np.arange(
-                        level_size, dtype=np.int64
-                    )
-                trip_parent = int(parents[trip_gen])
-                buffer_end = int(parent_ends[trip_parent])
+                trip = int(ordered_first[admit_count])
+                buffer_end = int(parent_ends[int(parents[trip])])
                 transitions += buffer_end
                 # Unadmitted fresh keys are exactly the fresh keys whose
                 # first occurrence sorts at or after the trip position.
-                unadmitted = fresh_mask & (
-                    first_occurrence >= trip_candidate
+                unadmitted = fresh_mask & (first_occurrence >= trip)
+                truncated += _trip_truncations(
+                    successors, keys, unique_keys, unadmitted,
+                    trip, buffer_end, distinct_raw,
                 )
-                # The window is the tail of one parent's buffer (at
-                # most n*(m+1) entries), so rank only those keys
-                # instead of the whole level.
-                window = np.flatnonzero(
-                    (candidate_gen >= trip_gen)
-                    & (candidate_gen < buffer_end)
-                )
-                inverse = np.searchsorted(unique_keys, keys[window])
-                truncated += int(unadmitted[inverse].sum())
                 if store_obj is not None:
                     store_obj.add_many(admitted_keys)
                 n_seen += admit_count

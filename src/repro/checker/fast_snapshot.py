@@ -899,6 +899,10 @@ class FastSnapshotSpec:
         memory-lean contract instead and pays the canonicalization per
         generated transition.  The cache is pure memoization, so every
         backend still reports identical states/transitions/verdicts.
+        The batch engine keeps no such cache: it canonicalizes whole
+        levels at once, which costs less than a second dedup pass over
+        the raw successors, and replays the cache's one visible effect
+        (a budget trip counts a repeated raw successor once) directly.
         """
         canonical = canonicalizer.canonical
         orbit_size = canonicalizer.orbit_size

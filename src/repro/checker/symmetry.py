@@ -355,9 +355,14 @@ class FastCanonicalizer:
             )
             for view in range(1 << spec.k)
         ]
+        # The view is a field's low k bits, so a table over the field
+        # is view_map repeated once per value of the bits above it
+        # (``high`` steps by 2^k, so its low k bits are clear).
+        k = spec.k
         record_map = [
-            view_map[record & spec.k_mask] | (record & ~spec.k_mask)
-            for record in range(1 << spec.reg_bits)
+            high | view
+            for high in range(0, 1 << spec.reg_bits, 1 << k)
+            for view in view_map
         ]
 
         block_bits = spec.m * spec.reg_bits
@@ -367,10 +372,10 @@ class FastCanonicalizer:
             register_table = None
 
         if spec.local_bits <= _MAX_TABLE_BITS:
-            k_clear = spec.local_mask & ~spec.k_mask
             local_table = [
-                (local & k_clear) | view_map[local & spec.k_mask]
-                for local in range(1 << spec.local_bits)
+                high | view
+                for high in range(0, 1 << spec.local_bits, 1 << k)
+                for view in view_map
             ]
         else:
             local_table = None
@@ -446,25 +451,17 @@ class FastCanonicalizer:
 
         Built register by register: start from the single-register
         remap-and-move table and extend one register slot per round,
-        so construction is ``O(m * 2^block_bits)`` table fills.
+        so construction is ``O(m * 2^block_bits)`` table fills.  Each
+        round's index is ``(new record << low bits) | lower block``,
+        so the new table is the old one repeated once per moved
+        record, high index major.
         """
         spec = self.spec
-        reg_bits = spec.reg_bits
-        table = [
-            record_map[record] << spec.reg_offsets[rho[0]]
-            for record in range(1 << reg_bits)
-        ]
+        table = [record << spec.reg_offsets[rho[0]] for record in record_map]
         for register in range(1, spec.m):
-            low_bits = register * reg_bits
-            low_mask = (1 << low_bits) - 1
             shift = spec.reg_offsets[rho[register]]
-            moved = [
-                record_map[record] << shift for record in range(1 << reg_bits)
-            ]
-            table = [
-                table[value & low_mask] | moved[value >> low_bits]
-                for value in range(1 << (low_bits + reg_bits))
-            ]
+            moved = [record << shift for record in record_map]
+            table = [high | low for high in moved for low in table]
         return table
 
     # ------------------------------------------------------------------

@@ -24,6 +24,7 @@ fails with a clear :class:`BatchEngineUnavailable` instead of a
 traceback.
 """
 
+import functools
 import random
 from dataclasses import asdict
 
@@ -32,7 +33,7 @@ import pytest
 import repro.checker.batch as batch_mod
 from repro.checker import parallel
 from repro.checker.batch import BatchEngineUnavailable
-from repro.checker.fast_snapshot import FastSnapshotSpec
+from repro.checker.fast_snapshot import FastSnapshotSpec, canonical_wiring_classes
 from repro.checker.fingerprint import fingerprint_int, splitmix64
 from repro.checker.parallel import check_snapshot_classes, explore_sharded
 from repro.store import StoreConfig
@@ -358,6 +359,149 @@ class TestShardedConformance:
             checkpointer=RunCheckpointer(tmp_path, meta, every=500),
         )
         assert asdict(resumed) == asdict(uninterrupted)
+
+
+# ----------------------------------------------------------------------
+# Budget-trip accounting on the symmetric path.  The batch engine keeps
+# no raw-successor memo; the scalar symmetric loop's cache only shows
+# in how a trip window counts a repeated raw successor.
+# ----------------------------------------------------------------------
+
+#: All ten N=3 wiring classes.
+N3_CLASSES = canonical_wiring_classes(3, 3)
+
+try:
+    from repro.checker.native.loader import native_available
+
+    _native_ok = batch_mod.HAVE_NUMPY and native_available()
+except Exception:  # pragma: no cover - import error == unavailable
+    _native_ok = False
+
+requires_native = pytest.mark.skipif(
+    not _native_ok, reason="native kernel unavailable (no numpy/compiler)"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_symmetric(wiring, budget):
+    return asdict(FastSnapshotSpec([1, 2, 3], wiring).explore(
+        engine="scalar", symmetry=True, max_states=budget
+    ))
+
+
+def _replay_trip(buffers, key_of, visited, budget, raw_cache):
+    """The scalar symmetric loop's admission rule over one level.
+
+    Returns the truncated-transition count; ``raw_cache`` skips a raw
+    successor met before, as the scalar loop's cache does.
+    """
+    seen = set(visited)
+    raw_seen = set()
+    admitted = truncated = 0
+    for buffer in buffers:
+        for raw in buffer:
+            if raw_cache:
+                if raw in raw_seen:
+                    continue
+                raw_seen.add(raw)
+            key = key_of(raw)
+            if key in seen:
+                continue
+            if admitted >= budget:
+                truncated += 1
+                continue
+            seen.add(key)
+            admitted += 1
+        if admitted >= budget and truncated:
+            break
+    return truncated
+
+
+@requires_numpy
+class TestSymmetricTripAccounting:
+    def test_window_duplicate_counts_once(self):
+        # Three parents; key = raw // 10 stands in for canonicalization
+        # (10 and 11 share an orbit).  Key 2 is already visited and the
+        # budget admits two fresh keys (1, then 3), so the trip is at
+        # raw 40 and the window is the rest of parent 1's buffer:
+        # [40, 30, 50, 40].  Raw 40 repeats inside the window; raw 30
+        # was met before the trip and its key was admitted.
+        buffers = [[10, 20, 11], [30, 40, 30, 50, 40], [60, 21, 70]]
+        visited = {2}
+        budget = 2
+
+        def key_of(raw):
+            return raw // 10
+
+        successors = np.array(
+            [raw for buffer in buffers for raw in buffer], dtype=np.uint64
+        )
+        keys = successors // np.uint64(10)
+        unique_keys, first = batch_mod._unique_first(keys)
+        fresh = ~np.isin(unique_keys, list(visited))
+        ordered_first = np.sort(first[fresh])
+        trip = int(ordered_first[budget])
+        ends = np.cumsum([len(buffer) for buffer in buffers])
+        buffer_end = int(ends[np.searchsorted(ends, trip, side="right")])
+        assert (trip, buffer_end) == (4, 8)
+        unadmitted = fresh & (first >= trip)
+
+        def count(distinct_raw):
+            return batch_mod._trip_truncations(
+                successors, keys, unique_keys, unadmitted,
+                trip, buffer_end, distinct_raw,
+            )
+
+        with_cache = _replay_trip(buffers, key_of, visited, budget, True)
+        without_cache = _replay_trip(buffers, key_of, visited, budget, False)
+        assert (with_cache, without_cache) == (2, 3)
+        assert count(distinct_raw=True) == with_cache
+        assert count(distinct_raw=False) == without_cache
+
+    @pytest.mark.parametrize(
+        "symmetry, fingerprint, backend, distinct_raw",
+        [
+            (True, False, None, True),
+            (True, False, "ram", True),
+            (True, False, "spill", False),
+            (True, True, None, False),
+            (False, False, None, False),
+        ],
+    )
+    def test_window_dedup_only_where_the_scalar_loop_caches(
+        self, monkeypatch, tmp_path, symmetry, fingerprint, backend,
+        distinct_raw,
+    ):
+        # The scalar loop's raw-successor cache exists only in
+        # symmetric, RAM-backed, non-fingerprint runs.
+        seen = []
+        real = batch_mod._trip_truncations
+
+        def spy(*args):
+            seen.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(batch_mod, "_trip_truncations", spy)
+        store = None
+        if backend is not None:
+            store = StoreConfig(backend=backend, directory=str(tmp_path))
+        FastSnapshotSpec([1, 2, 3], N3_CLASS).explore(
+            engine="batch", symmetry=symmetry, fingerprint=fingerprint,
+            store=store, max_states=333,
+        )
+        assert seen == [distinct_raw]
+
+    @pytest.mark.parametrize(
+        "kernel", ["numpy", pytest.param("native", marks=requires_native)]
+    )
+    @pytest.mark.parametrize("budget", [1, 7, 333, 2000])
+    @pytest.mark.parametrize("wiring", N3_CLASSES, ids=str)
+    def test_n3_symmetric_trips_match_scalar(self, wiring, budget, kernel):
+        batch = asdict(FastSnapshotSpec([1, 2, 3], wiring).explore(
+            engine="batch", kernel=kernel, symmetry=True, max_states=budget
+        ))
+        assert batch == _scalar_symmetric(wiring, budget)
+        assert not batch["complete"]
 
 
 # ----------------------------------------------------------------------

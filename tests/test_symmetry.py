@@ -17,10 +17,14 @@ Three contracts keep the quotient construction honest:
 
 import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import aggregate_symmetry_statistics
 from repro.checker import Explorer, SystemSpec
 from repro.checker.fast_snapshot import FastSnapshotSpec, canonical_wiring_classes
@@ -117,6 +121,77 @@ class TestCanonicalInvariance:
         representative = canonicalizer.canonical(state)
         for apply in canonicalizer._appliers:
             assert canonicalizer.canonical(apply(state)) == representative
+
+    @pytest.mark.parametrize(
+        "wiring",
+        canonical_wiring_classes(2, 2) + canonical_wiring_classes(3, 3),
+        ids=str,
+    )
+    def test_compiled_tables_match_per_index_formula(self, wiring):
+        n = len(wiring)
+        spec = FastSnapshotSpec(list(range(1, n + 1)), wiring)
+        canonicalizer = FastCanonicalizer(spec)
+        stabilizer = wiring_stabilizer(spec.wiring, spec.inputs)
+        if wiring == IDENTITY_CLASS:
+            assert canonicalizer.order == 6
+        expected = []
+        for pi, rho in stabilizer[1:]:
+            bit_perm = list(range(spec.k))
+            for p in range(n):
+                bit_perm[spec.value_bits[spec.inputs[pi[p]]]] = (
+                    spec.value_bits[spec.inputs[p]]
+                )
+            view_map = [
+                sum(1 << bit_perm[bit] for bit in range(spec.k) if view >> bit & 1)
+                for view in range(1 << spec.k)
+            ]
+
+            def remap(field, view_map=view_map):
+                return (field & ~spec.k_mask) | view_map[field & spec.k_mask]
+
+            block_bits = spec.m * spec.reg_bits
+            register_table = []
+            for block in range(1 << block_bits):
+                image = 0
+                for r in range(spec.m):
+                    record = (block >> spec.reg_offsets[r]) & spec.reg_mask
+                    image |= remap(record) << spec.reg_offsets[rho[r]]
+                register_table.append(image)
+            expected.append({
+                "kind": "fused",
+                "register_table": register_table,
+                "block_mask": (1 << block_bits) - 1,
+                "local_table": [
+                    remap(local) for local in range(1 << spec.local_bits)
+                ],
+                "local_mask": spec.local_mask,
+                "moves": tuple(
+                    (spec.local_offsets[p], spec.local_offsets[pi[p]])
+                    for p in range(n)
+                ),
+            })
+        assert canonicalizer.element_tables == expected
+
+    def test_symmetry_module_needs_no_numpy(self, tmp_path):
+        # numpy is a soft dependency: building packed-state tables must
+        # work on a host without it.
+        (tmp_path / "numpy.py").write_text(
+            "raise ImportError('numpy hidden for this test')\n"
+        )
+        src = Path(repro.__file__).resolve().parents[1]
+        script = (
+            "from repro.checker.fast_snapshot import FastSnapshotSpec\n"
+            "from repro.checker.symmetry import FastCanonicalizer\n"
+            f"spec = FastSnapshotSpec([1, 2, 3], {IDENTITY_CLASS!r})\n"
+            "print(FastCanonicalizer(spec).order)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": f"{tmp_path}{os.pathsep}{src}"}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "6"
 
     def test_orbit_size_divides_group_order(self):
         spec = _snapshot_spec(3)
