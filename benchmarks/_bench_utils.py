@@ -103,7 +103,7 @@ def _headline_states_per_s(document: dict) -> Optional[int]:
 
     Prefers the kernel trend lines (``native``, then ``batch``) on the
     fixed identity-class workload; falls back to the serial sweep when
-    neither section exists (e.g. numpy-less hosts).
+    neither section exists (e.g. a partial run).
     """
     best: Optional[int] = None
     for section_name, run_key in (("native", "native"), ("batch", "batch")):

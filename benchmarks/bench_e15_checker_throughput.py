@@ -29,25 +29,25 @@ workloads, four axes:
   class sweep in all four ``por x symmetry`` combinations — verdict/
   violation-set identity and the transitions cut (the acceptance bar:
   >= 2x with ``por+symmetry``);
-- **batch**: the level-batched numpy kernel (``--engine batch``) vs
-  the scalar loop on the identity class in four modes (plain,
-  fingerprint, symmetry, symmetry+fingerprint), each engine pair
-  measured adjacently — per-mode speedup plus in-section conformance
-  (identical states/transitions/verdict, or the numbers are garbage);
-  standalone ``--only-batch`` remeasures just this section;
-- **native**: the generated-C level kernel (``--kernel native``) vs its
-  numpy twin vs scalar, same identity-class modes, each triple measured
-  adjacently — per-mode ``speedup_vs_numpy``/``speedup_vs_scalar`` plus
-  field-level conformance; without a compiler the section records
-  ``available: false`` and the reason.  Standalone ``--only-native``
+- **batch**: the level-batched loop on the numpy kernel
+  (``--kernel numpy``) on the identity class in four modes (plain,
+  fingerprint, symmetry, symmetry+fingerprint) — per-mode states/s
+  plus in-section conformance (the plain run equals the generic
+  Explorer at the same budget, the fingerprint modes equal their
+  twins, or the numbers are garbage); standalone ``--only-batch``
   remeasures just this section;
+- **native**: the generated-C level kernel (``--kernel native``) vs its
+  numpy twin, same identity-class modes, each pair measured
+  adjacently — per-mode ``speedup_vs_numpy`` plus field-level
+  conformance; without a compiler the section records ``available:
+  false`` and the reason.  Standalone ``--only-native`` remeasures
+  just this section;
 - **batch_por**: the two biggest reductions composed — unreduced vs
-  scalar+POR vs batch+POR on the identity class under symmetry, all
-  three measured adjacently.  Conformance here is verdict-level (the
-  level-synchronous selector picks different-but-sound ample sets, so
-  state counts legitimately differ); the bars are >= 2x batch-over-
-  scalar states/s and a batch transition cut within 10% of scalar's;
-  standalone ``--only-batch-por`` remeasures just this section;
+  POR on the identity class under symmetry, measured adjacently —
+  reporting the transition cut.  Conformance here is verdict-level
+  (the selector prunes transitions, so state counts legitimately
+  differ); standalone ``--only-batch-por`` remeasures just this
+  section;
 - **service**: the distributed checking service (``repro serve``) — a
   coordinator plus ``k`` localhost socket workers running the
   exhaustive N=2 sweep as one submitted job, against the serial
@@ -121,7 +121,6 @@ def _run_workload(config: dict) -> dict:
 
     symmetry = config.get("symmetry", False)
     por = config.get("por", False)
-    engine = config.get("engine", "scalar")
     kernel = config.get("kernel", "auto")
 
     store_config = None
@@ -203,7 +202,6 @@ def _run_workload(config: dict) -> dict:
             symmetry=symmetry,
             store=store_config,
             por=por,
-            engine=engine,
             kernel=kernel,
         )
         states = sum(result.states for _, result in rows)
@@ -226,7 +224,6 @@ def _run_workload(config: dict) -> dict:
             fingerprint=config.get("fingerprint", False),
             symmetry=symmetry,
             por=por,
-            engine=engine,
             kernel=kernel,
         )
         states, transitions, ok = result.states, result.transitions, result.ok
@@ -244,7 +241,6 @@ def _run_workload(config: dict) -> dict:
             symmetry=symmetry,
             store=store_config,
             por=por,
-            engine=engine,
             kernel=kernel,
         )
         states, transitions, ok = result.states, result.transitions, result.ok
@@ -329,67 +325,46 @@ def measure(config: dict) -> dict:
 # ----------------------------------------------------------------------
 
 def run_batch_section(budget: int) -> dict:
-    """Scalar vs level-batched (numpy) kernel on the identity class.
+    """The numpy level kernel on the identity class, four modes.
 
-    Four modes, each engine pair measured back to back — scalar
-    timings on shared machines swing tens of percent between minutes,
-    so adjacency (not absolute wall clocks) is what makes the per-mode
-    ``speedup`` meaningful.  Conformance is asserted inside the
-    section: per mode, both engines must report identical states/
-    transitions/verdict or the speedup is timing garbage.
-
-    numpy is a soft dependency: without it the section records
-    ``available: false`` and nothing else (the scalar engine and every
-    other axis are unaffected).
+    Each mode's states/s is the numpy kernel's trend line (the
+    generated-C kernel has its own section, ``native``).  Conformance is
+    asserted inside the section, or the numbers are timing garbage: the
+    plain run must report the generic Explorer's states/transitions/
+    verdict at the same budget (the Explorer is the loop's independent
+    oracle), and the fingerprint modes must report exactly what their
+    unfingerprinted twins do.
     """
-    from repro.checker.batch import HAVE_NUMPY
-
     identity_class = ((0, 1, 2), (0, 1, 2), (0, 1, 2))
-    section = {"available": HAVE_NUMPY, "budget": budget}
-    if not HAVE_NUMPY:
-        return section
+    section: dict = {"budget": budget}
     modes = (
         ("plain", {}),
         ("fingerprint", {"fingerprint": True}),
         ("symmetry", {"symmetry": True}),
         ("symmetry_fingerprint", {"symmetry": True, "fingerprint": True}),
     )
-    speedups = {}
-    conformant = True
+    runs = {}
     for label, flags in modes:
-        base = {"kind": "fast_single", "budget": budget,
-                "class": identity_class, **flags}
-        scalar_run = measure({**base, "engine": "scalar"})
-        # Pinned to the numpy kernel: this section is the numpy-vs-scalar
-        # trend line; the generated-C kernel has its own section (native).
-        batch_run = measure({**base, "engine": "batch", "kernel": "numpy"})
-        same = (
-            (scalar_run["states"], scalar_run["transitions"], scalar_run["ok"])
-            == (batch_run["states"], batch_run["transitions"], batch_run["ok"])
-        )
-        conformant = conformant and same
-        speedup = (
-            round(batch_run["states_per_s"] / scalar_run["states_per_s"], 2)
-            if scalar_run["states_per_s"]
-            else None
-        )
-        speedups[label] = speedup
-        section[label] = {
-            "scalar": scalar_run,
-            "batch": batch_run,
-            "conformant": same,
-            "speedup": speedup,
-        }
-    section["conformant"] = conformant
-    section["speedups"] = speedups
-    real = [s for s in speedups.values() if s is not None]
-    section["best_speedup"] = max(real) if real else None
+        runs[label] = measure({"kind": "fast_single", "budget": budget,
+                               "class": identity_class, "kernel": "numpy",
+                               **flags})
+        section[label] = {"batch": runs[label]}
+    oracle = measure({"kind": "generic", "budget": budget})
+
+    def counts(run: dict) -> tuple:
+        return run["states"], run["transitions"], run["ok"]
+
+    section["conformant"] = (
+        counts(runs["plain"]) == counts(oracle) == counts(runs["fingerprint"])
+        and counts(runs["symmetry"]) == counts(runs["symmetry_fingerprint"])
+    )
+    section["oracle"] = oracle
     section["note"] = (
-        "speedup = batch states/s over scalar states/s, same workload"
-        " measured adjacently; the symmetry modes gain the most (the"
-        " scalar canonicalizer is the dominant per-state cost there),"
-        " plain BFS the least. Small budgets understate the batch"
-        " engine (fixed numpy/table setup amortizes over ~100k+ states)."
+        "numpy kernel states/s per mode; conformance = plain run equal"
+        " to the generic Explorer at the same budget, fingerprint modes"
+        " equal to their unfingerprinted twins. Small budgets understate"
+        " the batch loop (fixed numpy/table setup amortizes over ~100k+"
+        " states)."
     )
     return section
 
@@ -399,69 +374,31 @@ def run_batch_section(budget: int) -> dict:
 # ----------------------------------------------------------------------
 
 def run_batch_por_section(budget: int) -> dict:
-    """Unreduced vs scalar+POR vs batch+POR on the identity class.
+    """Unreduced vs POR on the identity class, both under symmetry.
 
-    The tentpole measurement: both big reductions composed.  All three
-    runs use symmetry (the flagship configuration) and are measured
-    adjacently, so the two ratios that matter are timing-honest:
-
-    - ``speedup``: batch+POR states/s over scalar+POR states/s (the
-      acceptance bar is >= 2x at >= 200k-state budgets);
-    - ``cut_ratio_batch_vs_scalar``: the batch engine's transition cut
-      (unreduced transitions / batch+POR transitions) relative to the
-      scalar selector's — the level-synchronous C3 certifies novelty
-      against a smaller snapshot (``visited`` at the level boundary
-      instead of mid-level), which changes *which* ample sets pass,
-      so the cut must stay within 10% of scalar's (>= 0.9) but is not
-      expected to be identical.
-
-    Conformance is verdict-level by the same token: all three runs
-    must agree on ``ok``; state/transition counts legitimately differ.
+    The two biggest reductions composed, measured adjacently.
+    ``transitions_cut_batch`` is unreduced transitions over POR
+    transitions; CI holds it to an absolute floor.  Conformance is
+    verdict-level: both runs must agree on ``ok``; state/transition
+    counts legitimately differ.
     """
-    from repro.checker.batch import HAVE_NUMPY
-
     identity_class = ((0, 1, 2), (0, 1, 2), (0, 1, 2))
-    section = {"available": HAVE_NUMPY, "budget": budget}
-    if not HAVE_NUMPY:
-        return section
+    section: dict = {"budget": budget}
     base = {"kind": "fast_single", "budget": budget,
-            "class": identity_class, "symmetry": True}
-    unreduced = measure({**base, "engine": "scalar"})
-    scalar_por = measure({**base, "engine": "scalar", "por": True})
-    batch_por = measure(
-        {**base, "engine": "batch", "kernel": "numpy", "por": True}
-    )
-    scalar_cut = round(
-        unreduced["transitions"] / max(1, scalar_por["transitions"]), 2
-    )
-    batch_cut = round(
-        unreduced["transitions"] / max(1, batch_por["transitions"]), 2
-    )
+            "class": identity_class, "symmetry": True, "kernel": "numpy"}
+    unreduced = measure(base)
+    batch_por = measure({**base, "por": True})
     section.update({
         "unreduced": unreduced,
-        "scalar_por": scalar_por,
         "batch_por": batch_por,
-        "conformant": unreduced["ok"] == scalar_por["ok"] == batch_por["ok"],
-        "transitions_cut_scalar": scalar_cut,
-        "transitions_cut_batch": batch_cut,
-        "cut_ratio_batch_vs_scalar": (
-            round(batch_cut / scalar_cut, 3) if scalar_cut else None
-        ),
-        "speedup": (
-            round(
-                batch_por["states_per_s"] / scalar_por["states_per_s"], 2
-            )
-            if scalar_por["states_per_s"]
-            else None
+        "conformant": unreduced["ok"] == batch_por["ok"],
+        "transitions_cut_batch": round(
+            unreduced["transitions"] / max(1, batch_por["transitions"]), 2
         ),
         "note": (
             "verdict-level conformance by design: the level-synchronous"
-            " selector certifies C3 novelty against the level-boundary"
-            " visited set, so its ample choices (and hence state/"
-            "transition counts) differ from the scalar selector's while"
-            " both remain sound reductions of the same graph. Small"
-            " budgets understate the speedup (fixed numpy setup"
-            " amortizes over ~100k+ states)."
+            " selector prunes transitions, so state/transition counts"
+            " differ from the unreduced run's while the verdict must not."
         ),
     })
     return section
@@ -472,27 +409,21 @@ def run_batch_por_section(budget: int) -> dict:
 # ----------------------------------------------------------------------
 
 def run_native_section(budget: int) -> dict:
-    """Generated-C kernel vs its numpy twin (and scalar) per mode.
+    """Generated-C kernel vs its numpy twin per mode.
 
     Same identity-class workload and four modes as the ``batch``
     section, with the numpy twin measured *adjacently* to each native
     run — the per-mode ``speedup_vs_numpy`` is the native kernel's
-    honest headline, ``speedup_vs_scalar`` the cumulative one.
-    Conformance is field-level inside the section: per mode all three
-    runs must report identical states/transitions/verdict (kernels are
-    bit-identical by contract) or the numbers are garbage.
+    honest headline.  Conformance is field-level inside the section:
+    per mode both runs must report identical states/transitions/verdict
+    (kernels are bit-identical by contract) or the numbers are garbage.
 
-    The native kernel is a soft dependency: without numpy or a C
-    compiler (or with ``REPRO_NATIVE_DISABLE=1``) the section records
-    ``available: false`` plus the reason and nothing else.
+    The native kernel needs a C compiler: without one (or with
+    ``REPRO_NATIVE_DISABLE=1``) the section records ``available:
+    false`` plus the reason and nothing else.
     """
-    from repro.checker.batch import HAVE_NUMPY
-
     identity_class = ((0, 1, 2), (0, 1, 2), (0, 1, 2))
     section: dict = {"available": False, "budget": budget}
-    if not HAVE_NUMPY:
-        section["reason"] = "numpy unavailable"
-        return section
     from repro.checker.native import find_compiler, native_available
 
     if not native_available():
@@ -508,8 +439,7 @@ def run_native_section(budget: int) -> dict:
     # billing it to the first timed mode would skew small budgets.
     for flags in ({}, {"symmetry": True}):
         measure({"kind": "fast_single", "budget": 1000,
-                 "class": identity_class, "engine": "batch",
-                 "kernel": "native", **flags})
+                 "class": identity_class, "kernel": "native", **flags})
     modes = (
         ("plain", {}),
         ("fingerprint", {"fingerprint": True}),
@@ -517,49 +447,34 @@ def run_native_section(budget: int) -> dict:
         ("symmetry_fingerprint", {"symmetry": True, "fingerprint": True}),
     )
     speedups = {}
-    speedups_scalar = {}
     conformant = True
     for label, flags in modes:
         base = {"kind": "fast_single", "budget": budget,
                 "class": identity_class, **flags}
-        scalar_run = measure({**base, "engine": "scalar"})
-        numpy_run = measure({**base, "engine": "batch", "kernel": "numpy"})
-        native_run = measure({**base, "engine": "batch", "kernel": "native"})
-        fields = [
-            (run["states"], run["transitions"], run["ok"])
-            for run in (scalar_run, numpy_run, native_run)
-        ]
-        same = len(set(fields)) == 1
+        numpy_run = measure({**base, "kernel": "numpy"})
+        native_run = measure({**base, "kernel": "native"})
+        same = (
+            (numpy_run["states"], numpy_run["transitions"], numpy_run["ok"])
+            == (native_run["states"], native_run["transitions"],
+                native_run["ok"])
+        )
         conformant = conformant and same
         speedup = (
             round(native_run["states_per_s"] / numpy_run["states_per_s"], 2)
             if numpy_run["states_per_s"]
             else None
         )
-        vs_scalar = (
-            round(native_run["states_per_s"] / scalar_run["states_per_s"], 2)
-            if scalar_run["states_per_s"]
-            else None
-        )
         speedups[label] = speedup
-        speedups_scalar[label] = vs_scalar
         section[label] = {
-            "scalar": scalar_run,
             "numpy": numpy_run,
             "native": native_run,
             "conformant": same,
             "speedup_vs_numpy": speedup,
-            "speedup_vs_scalar": vs_scalar,
         }
     section["conformant"] = conformant
     section["speedups_vs_numpy"] = speedups
-    section["speedups_vs_scalar"] = speedups_scalar
     real = [s for s in speedups.values() if s is not None]
     section["best_speedup_vs_numpy"] = max(real) if real else None
-    real_scalar = [s for s in speedups_scalar.values() if s is not None]
-    section["best_speedup_vs_scalar"] = (
-        max(real_scalar) if real_scalar else None
-    )
     section["note"] = (
         "speedup_vs_numpy = native states/s over the numpy batch kernel"
         " on the same workload measured adjacently (the kernels are"
@@ -596,13 +511,10 @@ def run_service_section(workers: int = 2) -> dict:
     import tempfile
 
     from repro.analysis import aggregate_service_statistics
-    from repro.checker.batch import HAVE_NUMPY
 
-    engine = "batch" if HAVE_NUMPY else "scalar"
-    section: dict = {"workers": workers, "engine": engine}
+    section: dict = {"workers": workers}
     serial_run = measure(
-        {"kind": "fast_classes", "n": 2, "budget": None, "jobs": 1,
-         "engine": engine}
+        {"kind": "fast_classes", "n": 2, "budget": None, "jobs": 1}
     )
     section["serial"] = serial_run
 
@@ -629,8 +541,7 @@ def run_service_section(workers: int = 2) -> dict:
                 )
                 proc.start()
                 procs.append(proc)
-            spec = JobSpec(n=2, budget=0, engine=engine,
-                           shards=2 * workers)
+            spec = JobSpec(n=2, budget=0, shards=2 * workers)
             start = time.perf_counter()
             with ServiceClient.for_state_dir(Path(state_dir)) as client:
                 # Submitting before the whole fleet has joined would
@@ -982,23 +893,12 @@ def test_e15_write_bench_json(benchmark):
     por = payload["por"]
     assert por["verdicts_identical"], por
     assert por["transitions_cut_por_symmetry_vs_baseline"] >= 2.0, por
-    # Batch engine: conformance is unconditional wherever numpy exists;
-    # the >= 5x throughput bar is asserted at acceptance scale only
-    # (fixed setup costs dominate tiny smoke budgets).
+    # Batch loop: agrees with the Explorer oracle at every budget.
     batch = payload["batch"]
-    if batch["available"]:
-        assert batch["conformant"], batch
-        if budget >= 200_000:
-            assert batch["best_speedup"] >= 5.0, batch["speedups"]
-    # Composed reduction: verdict conformance is unconditional; the 2x
-    # speedup and within-10%-of-scalar transition cut are acceptance-
-    # scale bars (fixed numpy setup dominates tiny smoke budgets).
+    assert batch["conformant"], batch
+    # Composed reduction: verdict conformance is unconditional.
     batch_por = payload["batch_por"]
-    if batch_por["available"]:
-        assert batch_por["conformant"], batch_por
-        if budget >= 200_000:
-            assert batch_por["speedup"] >= 2.0, batch_por
-            assert batch_por["cut_ratio_batch_vs_scalar"] >= 0.9, batch_por
+    assert batch_por["conformant"], batch_por
     # Native kernel: field-level conformance wherever a compiler exists;
     # the >= 2x-over-numpy bar is an acceptance-scale assertion.
     native = payload["native"]
@@ -1027,28 +927,18 @@ def test_e15_write_bench_json(benchmark):
 # ----------------------------------------------------------------------
 
 def _print_batch_section(batch: dict) -> None:
-    if not batch.get("available"):
-        return
     for label in ("plain", "fingerprint", "symmetry", "symmetry_fingerprint"):
-        entry = batch[label]
-        print(f"  batch/{label}: scalar"
-              f" {entry['scalar']['states_per_s']} st/s vs batch"
-              f" {entry['batch']['states_per_s']} st/s ="
-              f" {entry['speedup']}x (conformant: {entry['conformant']})")
-    print(f"  batch: best speedup {batch['best_speedup']}x,"
-          f" all modes conformant: {batch['conformant']}")
+        print(f"  batch/{label}:"
+              f" {batch[label]['batch']['states_per_s']} st/s")
+    print(f"  batch: Explorer oracle {batch['oracle']['states_per_s']}"
+          f" st/s; conformant: {batch['conformant']}")
 
 
 def _print_batch_por_section(section: dict) -> None:
-    if not section.get("available"):
-        return
-    print(f"  batch_por: scalar+por"
-          f" {section['scalar_por']['states_per_s']} st/s vs batch+por"
-          f" {section['batch_por']['states_per_s']} st/s ="
-          f" {section['speedup']}x; transition cut"
-          f" {section['transitions_cut_batch']}x vs scalar's"
-          f" {section['transitions_cut_scalar']}x (ratio"
-          f" {section['cut_ratio_batch_vs_scalar']});"
+    print(f"  batch_por: unreduced"
+          f" {section['unreduced']['states_per_s']} st/s, por"
+          f" {section['batch_por']['states_per_s']} st/s; transition cut"
+          f" {section['transitions_cut_batch']}x;"
           f" verdicts conformant: {section['conformant']}")
 
 
@@ -1063,11 +953,9 @@ def _print_native_section(section: dict) -> None:
               f" {entry['numpy']['states_per_s']} st/s vs native"
               f" {entry['native']['states_per_s']} st/s ="
               f" {entry['speedup_vs_numpy']}x"
-              f" ({entry['speedup_vs_scalar']}x vs scalar;"
-              f" conformant: {entry['conformant']})")
+              f" (conformant: {entry['conformant']})")
     print(f"  native: compiler {section['compiler']},"
-          f" best {section['best_speedup_vs_numpy']}x vs numpy /"
-          f" {section['best_speedup_vs_scalar']}x vs scalar,"
+          f" best {section['best_speedup_vs_numpy']}x vs numpy,"
           f" all modes conformant: {section['conformant']}")
 
 
@@ -1098,19 +986,19 @@ def main(argv=None) -> int:
                         help="states for the store.spill_memcap workload"
                              " (acceptance scale: 5M under a 200 MB cap)")
     parser.add_argument("--only-batch", action="store_true",
-                        help="measure only the scalar-vs-batch engine"
+                        help="measure only the numpy batch-kernel"
                              " section and merge it into the existing"
                              " BENCH_checker.json (other sections are"
                              " left untouched)")
     parser.add_argument("--only-native", action="store_true",
                         help="measure only the native-kernel section"
-                             " (generated-C vs numpy batch kernel vs"
-                             " scalar, adjacent per mode) and merge it"
+                             " (generated-C vs numpy batch kernel,"
+                             " adjacent per mode) and merge it"
                              " into the existing BENCH_checker.json")
     parser.add_argument("--only-batch-por", action="store_true",
                         help="measure only the composed batch+POR"
-                             " section (unreduced vs scalar+por vs"
-                             " batch+por) and merge it into the"
+                             " section (unreduced vs por, both with"
+                             " symmetry) and merge it into the"
                              " existing BENCH_checker.json")
     parser.add_argument("--only-service", action="store_true",
                         help="measure only the distributed-service"
@@ -1144,9 +1032,6 @@ def main(argv=None) -> int:
         path = write_checker_bench({"batch": batch}, path=args.out)
         print(f"wrote {path}")
         _print_batch_section(batch)
-        if not batch["available"]:
-            print("  batch engine unavailable (no numpy); nothing measured")
-            return 0
         return 0 if batch["conformant"] else 1
 
     if args.only_batch_por:
@@ -1154,9 +1039,6 @@ def main(argv=None) -> int:
         path = write_checker_bench({"batch_por": section}, path=args.out)
         print(f"wrote {path}")
         _print_batch_por_section(section)
-        if not section["available"]:
-            print("  batch engine unavailable (no numpy); nothing measured")
-            return 0
         return 0 if section["conformant"] else 1
 
     payload = run_suite(args.budget, jobs_axis=tuple(args.jobs),
@@ -1212,10 +1094,8 @@ def main(argv=None) -> int:
     ok = ok and por["verdicts_identical"]
     ok = ok and por["transitions_cut_por_symmetry_vs_baseline"] >= 2.0
     ok = ok and store["conformant"] and spill_entry["ok"]
-    if payload["batch"]["available"]:
-        ok = ok and payload["batch"]["conformant"]
-    if payload["batch_por"]["available"]:
-        ok = ok and payload["batch_por"]["conformant"]
+    ok = ok and payload["batch"]["conformant"]
+    ok = ok and payload["batch_por"]["conformant"]
     if payload["native"]["available"]:
         ok = ok and payload["native"]["conformant"]
     if spill_entry["states"] >= 5_000_000:

@@ -144,7 +144,7 @@ def submit_campaign(
     The coordinator is discovered through ``state_dir`` (the directory
     ``repro serve --state-dir`` runs on).  ``spec_kwargs`` are the
     remaining :class:`~repro.service.jobs.JobSpec` fields (``symmetry``,
-    ``por``, ``engine``, ``shards``, ...).  Returns the finished
+    ``por``, ``kernel``, ``shards``, ...).  Returns the finished
     :class:`~repro.service.jobs.JobRecord` when ``wait`` is true, else
     the job id; results are bit-identical to a local
     :func:`~repro.checker.parallel.check_snapshot_classes` run of the

@@ -1,16 +1,17 @@
-"""Level-batched exploration kernel: whole BFS levels as numpy u64 arrays.
+"""Level-batched exploration: whole BFS levels as numpy u64 arrays.
 
-The scalar engines in :mod:`repro.checker.fast_snapshot` process one
-state per loop iteration; at N=3 scale that pure-Python loop is the
-binding limit (~60k states/s, EXPERIMENTS.md).  The packed encoding is
-already vector-ready — one state is one u64 bit pattern and every
+This is the one exploration loop behind
+:meth:`~repro.checker.fast_snapshot.FastSnapshotSpec.explore`, the
+class sweep, the sharded engine and the service workers.  The packed
+encoding is vector-ready — one state is one u64 bit pattern and every
 transition is shift/mask arithmetic against precomputed tables — so
-this module re-expresses the exploration loop over whole BFS levels:
+the loop runs over whole BFS levels:
 
-- **expansion**: for each ``(pid, transition)`` pair, the scalar
-  successor formula is applied to the entire frontier array at once
+- **expansion**: for each ``(pid, transition)`` pair, the successor
+  formula of :meth:`~repro.checker.fast_snapshot.FastSnapshotSpec.successors`
+  is applied to the entire frontier array at once
   (:meth:`BatchKernel.expand_level`), and the per-pair slices are
-  reassembled into exactly the scalar engine's generation order
+  reassembled into exactly that method's generation order
   (frontier-position major, then pid, then local register / scan);
 - **canonicalization**: :class:`BatchCanonicalizer` replays the fused
   min-over-permutation-tables reduction of
@@ -30,19 +31,19 @@ this module re-expresses the exploration loop over whole BFS levels:
   are (the spill backend turns a level's sorted fresh keys into a
   sorted run natively).
 
-**Conformance contract.**  The scalar engine stays the oracle: for any
-unreduced configuration both engines support, :func:`explore_batch`
-returns a
-:class:`~repro.checker.fast_snapshot.FastExplorationResult` that is
-field-for-field identical to the scalar one — same verdict and
-violation message, same admitted/transition/truncated counts even for
-budget-clipped runs, same covered-state totals under symmetry.  That
-holds because per level the batch admission order (ascending first
-occurrence in generation order) is exactly the scalar FIFO admission
-order, and the mid-level bookkeeping (a violation returns after the
-violating parent's full buffer was counted; a budget trip counts
-truncated occurrences through the end of the tripping parent's buffer)
-is replayed index-for-index from the generation-order arrays.
+**Conformance contract.**  The generic
+:class:`~repro.checker.explorer.Explorer` is the oracle: on the
+unreduced graph :func:`explore_batch` reports the same states,
+transitions, truncated transitions, completeness and verdict, even for
+budget-clipped runs.  That holds because per level the batch admission
+order (ascending first occurrence in generation order) is exactly a
+FIFO BFS's admission order, and the mid-level bookkeeping (a violation
+returns after the violating parent's full buffer was counted; a budget
+trip counts truncated occurrences through the end of the tripping
+parent's buffer) is replayed index-for-index from the generation-order
+arrays.  Under symmetry the two pick different orbit representatives,
+so budget-clipped symmetric counts are pinned values instead
+(``tests/test_batch_engine.py``).
 
 **POR** (``por=True``) composes through a *level-synchronous*
 formulation (:class:`BatchAmpleSelector`): ample sets are selected for
@@ -52,19 +53,14 @@ per-pid footprint arrays compiled by
 successors, and a C3 cycle proviso that certifies novelty against
 ``visited ∪ earlier-in-level`` via one bulk ``contains_many`` gather
 per trial round (pessimistic within a level, hence sound; see the
-:mod:`repro.checker.por` docstring).  The two engines' C3 oracles
-legitimately pick different ample sets, so batch+POR conformance is
-*verdict-level* (same ok/violation/complete), not count-identical.
+:mod:`repro.checker.por` docstring).  POR conformance is
+*verdict-level*: the same ok/violation/complete as the unreduced run
+and as the generic ``Explorer(por=True)``, whose selector picks its
+own ample sets.
 
 One configuration falls outside the batch kernel by design:
 **wait-freedom** — lasso analysis needs the full edge list, which the
 lean batch pipeline never materializes.
-
-numpy is a *soft* dependency: this module imports with or without it,
-``HAVE_NUMPY`` reports availability, and every entry point raises
-:class:`BatchEngineUnavailable` with a clear message when numpy is
-missing — the scalar engines and the rest of the package are
-unaffected.
 """
 
 # anonlint: role=harness
@@ -72,6 +68,8 @@ unaffected.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, cast
+
+import numpy as np
 
 from repro.checker.constants import (
     MASK64,
@@ -89,13 +87,7 @@ from repro.checker.fingerprint import fingerprint_int, splitmix64_many
 from repro.checker.por import FootprintTables, PORCounters
 from repro.store.base import StoreConfig
 from repro.store.checkpoint import RunCheckpointer
-from repro.store.ram import RamStore
 from repro.store.spill import in_sorted
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via HAVE_NUMPY stubs
-    np = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
@@ -105,25 +97,6 @@ if TYPE_CHECKING:
     U64Array = NDArray[np.uint64]
     BoolArray = NDArray[np.bool_]
     I64Array = NDArray[np.int64]
-
-#: True iff numpy imported; the CLI and tests key degradation on this.
-HAVE_NUMPY = np is not None
-
-
-class BatchEngineUnavailable(RuntimeError):
-    """The batch engine was requested but numpy is not installed."""
-
-
-def require_numpy() -> None:
-    """Raise :class:`BatchEngineUnavailable` unless numpy is importable."""
-    if not HAVE_NUMPY:
-        raise BatchEngineUnavailable(
-            "the batch engine processes BFS levels as numpy u64 arrays,"
-            " but numpy is not installed in this environment — install"
-            " numpy, or run the scalar engine (--engine scalar), which"
-            " needs no third-party packages and produces identical"
-            " results"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -205,33 +178,22 @@ def _insert_sorted(
 
 
 def _trip_truncations(
-    successors: "U64Array",
     keys: "U64Array",
     unique_keys: "U64Array",
     unadmitted: "BoolArray",
     start: int,
     end: int,
-    distinct_raw: bool,
 ) -> int:
     """Truncated transitions of a budget trip's window ``[start, end)``.
 
     The window runs from the first occurrence of the first key the
     budget turned away to the end of that parent's successor buffer (at
     most ``n*(m+1)`` entries).  Each entry counts when its key is one
-    of the ``unadmitted`` fresh keys (a mask over ``unique_keys``).
-
-    ``distinct_raw`` replays the scalar symmetric loop's raw-successor
-    cache, which skips a raw successor it has met before: each raw
-    successor then counts once, at its first occurrence *in the
-    window*.  Earlier occurrences need no lookup: a raw successor met
-    in an earlier level or earlier in this one has its key in the
-    visited set or admitted before the trip, so it never counts.
+    of the ``unadmitted`` fresh keys (a mask over ``unique_keys``) —
+    the generic Explorer's rule, which counts every generated
+    transition whose new target the budget dropped.
     """
-    window = slice(start, end)
-    hits = unadmitted[np.searchsorted(unique_keys, keys[window])]
-    if distinct_raw:
-        _, first = np.unique(successors[window], return_index=True)
-        hits = hits[first]
+    hits = unadmitted[np.searchsorted(unique_keys, keys[start:end])]
     return int(hits.sum())
 
 
@@ -241,11 +203,11 @@ def _trip_truncations(
 class BatchKernel:
     """Vectorized successor expansion + safety mask for one spec.
 
-    Precomputes, per ``(pid, register)``, the u64-safe clear masks the
-    scalar :meth:`~FastSnapshotSpec.successor_states_into` uses (the
-    scalar masks are negative Python ints — two's complement brings
-    them into u64 range), and per pid the physical-offset gather table
-    the scan step indexes by ``scan_pos``.
+    Precomputes, per ``(pid, register)``, the u64-safe clear masks
+    :meth:`~FastSnapshotSpec.successors` uses (the spec's masks are
+    negative Python ints — two's complement brings them into u64
+    range), and per pid the physical-offset gather table the scan step
+    indexes by ``scan_pos``.
 
     Subclasses (the generated C kernel in
     :mod:`repro.checker.native.loader`) override the hot methods; the
@@ -257,12 +219,11 @@ class BatchKernel:
     kernel_name = "numpy"
 
     def __init__(self, spec: FastSnapshotSpec) -> None:
-        require_numpy()
         if spec.state_bits > 64:
             raise ValueError(
                 f"the batch kernel holds whole levels as raw u64 arrays;"
                 f" this configuration packs states into {spec.state_bits}"
-                f" bits — use the scalar engine for wider encodings"
+                f" bits"
             )
         self.spec = spec
         self._local_clear = tuple(
@@ -286,18 +247,19 @@ class BatchKernel:
         frontier: "U64Array",
         selected: Optional["I64Array"] = None,
     ) -> Tuple["U64Array", "I64Array"]:
-        """Successors of ``frontier``, in scalar generation order.
+        """Successors of ``frontier``, in ``successors()`` order.
 
         Returns ``(successors, counts)``: ``counts[i]`` successors were
         generated by ``frontier[i]``, laid out parent-major (so
         ``successors[i]``'s parent index is recoverable as
         ``np.repeat(np.arange(counts.size), counts)[i]``), with each
-        parent's successors ordered exactly as the scalar engine
-        generates them: pid ascending, then register writes in
-        register order followed by the scan step.  The reassembly is a
-        counting placement — per (pid, op) part, every successor's
-        final position is its parent's running cursor — which costs
-        one linear pass per part instead of a level-wide argsort.
+        parent's successors ordered exactly as
+        :meth:`~FastSnapshotSpec.successors` lists them: pid ascending,
+        then register writes in register order followed by the scan
+        step.  The reassembly is a counting placement — per (pid, op)
+        part, every successor's final position is its parent's running
+        cursor — which costs one linear pass per part instead of a
+        level-wide argsort.
 
         ``selected`` is the per-state ample-selection mask from
         :class:`BatchAmpleSelector`: ``-1`` expands the state fully,
@@ -428,10 +390,10 @@ class BatchKernel:
     def violations(self, states: "U64Array") -> "BoolArray":
         """The stock ``check_outputs`` verdict as a vectorized mask.
 
-        True wherever the scalar check would return a message: a DONE
+        True wherever ``check_outputs`` would return a message: a DONE
         processor's view missing its own input, or two DONE views that
-        are not containment-related.  Messages are recomputed by the
-        scalar function on the (single) state the caller selects.
+        are not containment-related.  Messages are recomputed by
+        ``check_outputs`` on the (single) state the caller selects.
         """
         spec = self.spec
         bad = np.zeros(states.shape, dtype=bool)
@@ -555,7 +517,7 @@ def make_kernel(
 
     ``"numpy"`` is the pure-numpy :class:`BatchKernel`; ``"native"``
     and ``"auto"`` build the generated C kernel
-    (:mod:`repro.checker.native`) when a compiler and numpy are
+    (:mod:`repro.checker.native`) when a compiler is
     present, *silently* falling back to numpy otherwise — the two are
     bit-identical, so degradation never changes results, only speed
     (the CLI owns the one-time warning for an explicit ``native``
@@ -593,12 +555,11 @@ class BatchCanonicalizer:
     maps the whole packed register file in one fancy-indexed load, the
     local table each relocated local, and the orbit representative is
     the element-wise minimum across all images.  Elements whose fused
-    tables did not fit (the scalar per-field fallback) are replayed
-    from their field maps, still fully vectorized.
+    tables did not fit (the per-field fallback) are replayed from
+    their field maps, still fully vectorized.
     """
 
     def __init__(self, canonicalizer: "FastCanonicalizer") -> None:
-        require_numpy()
         self.order = canonicalizer.order
         self._fused: List[
             Tuple["U64Array", int, "U64Array", int, Tuple[Tuple[int, int], ...]]
@@ -694,11 +655,9 @@ class BatchCanonicalizer:
 class BatchAmpleSelector:
     """Ample sets for a whole BFS level at once.
 
-    The vectorized twin of
-    :class:`~repro.checker.por.FastAmpleSelector`, selecting per
-    frontier state either one pid's successors (an ample set satisfying
-    C0–C3) or full expansion, as an ``int64`` mask consumed by
-    :meth:`BatchKernel.expand_level`:
+    Selects per frontier state either one pid's successors (an ample
+    set satisfying C0–C3, :mod:`repro.checker.por`) or full expansion,
+    as an ``int64`` mask consumed by :meth:`BatchKernel.expand_level`:
 
     - **C0/C1** — per-pid write/read footprints come from the
       :class:`~repro.checker.por.FootprintTables` gather tables; the
@@ -719,12 +678,12 @@ class BatchAmpleSelector:
       level and re-expanded on the next (see
       :mod:`repro.checker.por`).
 
-    Candidate pids are tried in ascending order, mirroring the scalar
-    selector's retry loop; states with no qualifying pid are fully
-    expanded.  ``counters`` maintains the same
-    :class:`~repro.checker.por.PORCounters` invariants as the scalar
-    selector (``ample_states + fully_expanded_states`` equals the
-    number of expanded states).
+    Candidate pids are tried in ascending order, as the generic
+    :class:`~repro.checker.por.AmpleSelector` tries processors; states
+    with no qualifying pid are fully expanded.  ``counters`` keeps the
+    :class:`~repro.checker.por.PORCounters` invariant
+    (``ample_states + fully_expanded_states`` equals the number of
+    expanded states).
     """
 
     def __init__(
@@ -733,7 +692,6 @@ class BatchAmpleSelector:
         check_safety: bool = True,
         cycle_proviso: bool = True,
     ) -> None:
-        require_numpy()
         self.kernel = kernel
         self.spec = kernel.spec
         self.check_safety = check_safety
@@ -831,6 +789,15 @@ class BatchAmpleSelector:
 # ----------------------------------------------------------------------
 # The level-batched exploration loop
 # ----------------------------------------------------------------------
+
+#: Most states expanded in one pass.  A pass holds a few u64/int64
+#: arrays per generated successor (up to ``n*(m+1)`` per state), so
+#: capping the pass caps that working set on the huge late levels of
+#: exhaustive runs, where it would otherwise outgrow a store's
+#: ``mem_cap`` many times over; smaller levels run in one pass.
+_LEVEL_CHUNK = 1 << 18
+
+
 def _first_violation(
     spec: FastSnapshotSpec, kernel: BatchKernel, states: "U64Array"
 ) -> Tuple[int, Optional[str]]:
@@ -838,7 +805,7 @@ def _first_violation(
 
     Uses the vectorized mask when ``check_outputs`` is the stock
     implementation; any override (tests seed violations through it)
-    gets faithful per-state scalar calls instead.
+    gets faithful per-state calls instead.
     """
     if type(spec).check_outputs is _STOCK_CHECK_OUTPUTS:
         hits = np.flatnonzero(kernel.violations(states))
@@ -867,19 +834,15 @@ def explore_batch(
     heartbeat: Optional[Any] = None,
     kernel: str = "numpy",
 ) -> FastExplorationResult:
-    """Level-batched BFS, result-identical to the scalar engine.
+    """Level-batched BFS (see the module docstring's contract).
 
-    Call through :meth:`FastSnapshotSpec.explore` with
-    ``engine="batch"`` rather than directly — ``explore`` owns the
-    compatibility guards (wait-freedom, checkpoint completion) shared
-    by both engines.  With ``por=True`` each level runs
-    :class:`BatchAmpleSelector` before expansion; results are then
-    verdict-conformant with (not count-identical to) the scalar
-    selector — see the module docstring.  ``kernel`` names the level
-    kernel (see :func:`make_kernel`); every kernel is bit-identical,
-    so the choice never affects results.
+    Call through :meth:`FastSnapshotSpec.explore` rather than directly
+    — ``explore`` owns the guards (state width, wait-freedom,
+    checkpoint completion).  With ``por=True`` each level runs
+    :class:`BatchAmpleSelector` before expansion.  ``kernel`` names the
+    level kernel (see :func:`make_kernel`); every kernel is
+    bit-identical, so the choice never affects results.
     """
-    require_numpy()
     canonicalizer: Optional["FastCanonicalizer"] = None
     if symmetry:
         from repro.checker.symmetry import FastCanonicalizer
@@ -955,7 +918,7 @@ def explore_batch(
                 covered = resumed.counter("covered")
             if selector is not None:
                 selector.counters.load(resumed.counters)
-            frontier = np.fromiter(resumed.frontier(), dtype=np.uint64)
+            pending = np.fromiter(resumed.frontier(), dtype=np.uint64)
         else:
             if check_safety:
                 violation = spec.check_outputs(initial)
@@ -984,22 +947,17 @@ def explore_batch(
             if symmetric:
                 assert canonicalizer is not None
                 covered = canonicalizer.orbit_size(initial)
-            frontier = np.array([initial], dtype=np.uint64)
+            pending = np.array([initial], dtype=np.uint64)
 
-        # The scalar symmetric loop keeps a raw-successor cache in
-        # RAM-backed, non-fingerprint runs.  It never changes which
-        # keys are admitted, only how a budget trip counts a raw
-        # successor repeated in its window (see _trip_truncations).
-        distinct_raw = (
-            symmetric
-            and not fingerprint
-            and (store_obj is None or isinstance(store_obj, RamStore))
-        )
-
+        # ``pending`` is the BFS queue; each pass expands its first
+        # ``_LEVEL_CHUNK`` states.  Admissions append in generation
+        # order, so passes keep FIFO order and, without POR, every
+        # count; under POR a pass's C3 also sees earlier passes'
+        # admissions, which is still sound.
         complete = True
-        while frontier.size:
+        while pending.size:
             if heartbeat is not None:
-                heartbeat.tick(n_seen, int(frontier.size), transitions)
+                heartbeat.tick(n_seen, int(pending.size), transitions)
             if checkpointer is not None and checkpointer.due(n_seen):
                 assert store_obj is not None
                 counters: Dict[str, int] = {
@@ -1011,8 +969,10 @@ def explore_batch(
                     counters["covered"] = covered
                 if selector is not None:
                     counters.update(selector.counters.as_dict())
-                checkpointer.write(frontier, counters, store_obj)
+                checkpointer.write(pending, counters, store_obj)
 
+            frontier = pending[:_LEVEL_CHUNK]
+            pending = pending[_LEVEL_CHUNK:]
             if selector is not None:
                 selected = selector.select(frontier, _key_of, _in_visited)
                 successors, succ_counts = level_kernel.expand_level(
@@ -1022,7 +982,7 @@ def explore_batch(
                 successors, succ_counts = level_kernel.expand_level(frontier)
             level_size = int(successors.size)
             if level_size == 0:
-                break
+                continue
 
             if batch_canon is not None:
                 representatives = batch_canon.canonical_many(successors)
@@ -1113,10 +1073,10 @@ def explore_batch(
                 )
 
             if n_new > remaining:
-                # Budget trip: the scalar loop flips ``complete`` at
-                # the first occurrence of the (budget+1)-th new key,
-                # keeps counting truncated occurrences through the end
-                # of that parent's buffer, then stops.
+                # Budget trip: a FIFO BFS flips ``complete`` at the
+                # first occurrence of the (budget+1)-th new key, keeps
+                # counting truncated occurrences through the end of
+                # that parent's buffer, then stops.
                 assert parents is not None and parent_ends is not None
                 complete = False
                 trip = int(ordered_first[admit_count])
@@ -1126,8 +1086,7 @@ def explore_batch(
                 # first occurrence sorts at or after the trip position.
                 unadmitted = fresh_mask & (first_occurrence >= trip)
                 truncated += _trip_truncations(
-                    successors, keys, unique_keys, unadmitted,
-                    trip, buffer_end, distinct_raw,
+                    keys, unique_keys, unadmitted, trip, buffer_end
                 )
                 if store_obj is not None:
                     store_obj.add_many(admitted_keys)
@@ -1156,7 +1115,11 @@ def explore_batch(
                 covered += int(
                     batch_canon.orbit_sizes(admitted_states).sum()
                 )
-            frontier = admitted_states
+            pending = (
+                np.concatenate((pending, admitted_states))
+                if pending.size
+                else admitted_states
+            )
             if progress_every and (
                 n_seen // progress_every > previous_seen // progress_every
             ):

@@ -15,8 +15,11 @@ with ``K`` the number of distinct inputs.  The transition rules mirror
 :class:`repro.core.snapshot.SnapshotMachine` line for line; conformance
 tests (``tests/test_fast_snapshot.py``) check that the fast system and
 the generic system produce identical reachable-state graphs for ``N=2``
-and identical random-walk behaviours for ``N=3``, so whatever the fast
-explorer certifies transfers to the real implementation.
+and identical random-walk behaviours for ``N=3``, and
+``tests/test_batch_engine.py`` checks the exploration loop's counts
+against the generic :class:`~repro.checker.explorer.Explorer`, so
+whatever the fast explorer certifies transfers to the real
+implementation.
 
 Beyond speed, the module implements the *configuration symmetry
 reduction* used by experiment E4: wiring assignments are enumerated up
@@ -31,20 +34,31 @@ assignments to a handful of canonical classes.
 from __future__ import annotations
 
 import itertools
-from array import array
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.checker.fingerprint import fingerprint_int
 from repro.store.base import StoreConfig
 from repro.store.checkpoint import RunCheckpointer, load_result
-from repro.store.ram import RamStore
 
 # Phase encoding.
 _PHASE_WRITE = 0
 _PHASE_SCAN = 1
 _PHASE_DONE = 2
+
+#: The one exploration loop.  ``engine`` survives as a keyword of the
+#: public entry points so callers that spell it out keep working.
+ENGINE = "batch"
+
+
+def require_batch_engine(engine: str) -> None:
+    """Refuse any ``engine`` but ``"batch"``, naming the removal."""
+    if engine != ENGINE:
+        raise ValueError(
+            f"engine {engine!r} is not available: the scalar exploration"
+            f" loop was removed and {ENGINE!r} is the only engine — drop"
+            f" the engine argument or pass {ENGINE!r}"
+        )
 
 
 @dataclass
@@ -79,67 +93,6 @@ class FastExplorationResult:
     @property
     def ok(self) -> bool:
         return self.violation is None and self.bad_lasso_pid is None
-
-
-class _ChunkedIntQueue:
-    """FIFO of unsigned 64-bit ints stored in raw ``array('Q')`` chunks.
-
-    The fingerprint explorer's frontier would otherwise hold one boxed
-    Python int (~32 bytes) plus a deque slot per pending state; packing
-    them into arrays brings that to 8 bytes flat, which is what lets
-    the visited *set* dominate the memory profile as intended.
-    """
-
-    __slots__ = (
-        "_chunks", "_head", "_head_pos", "_tail", "_chunk_size", "_count",
-    )
-
-    def __init__(self, chunk_size: int = 8192) -> None:
-        self._chunks: deque = deque()
-        self._head: Optional[array] = None
-        self._head_pos = 0
-        self._tail: array = array("Q")
-        self._chunk_size = chunk_size
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def push(self, value: int) -> None:
-        tail = self._tail
-        tail.append(value)
-        self._count += 1
-        if len(tail) >= self._chunk_size:
-            self._chunks.append(tail)
-            self._tail = array("Q")
-
-    def pop(self) -> int:
-        """Next state in FIFO order, or -1 when the queue is empty."""
-        head = self._head
-        if head is None or self._head_pos >= len(head):
-            if self._chunks:
-                self._head = self._chunks.popleft()
-            elif self._tail:
-                self._head = self._tail
-                self._tail = array("Q")
-            else:
-                return -1
-            self._head_pos = 0
-            head = self._head
-        value = head[self._head_pos]
-        self._head_pos += 1
-        self._count -= 1
-        return value
-
-    def snapshot(self) -> Iterator[int]:
-        """Yield the pending values in FIFO order without consuming them
-        (checkpointing dumps the frontier mid-run)."""
-        head = self._head
-        if head is not None and self._head_pos < len(head):
-            yield from head[self._head_pos:]
-        for chunk in self._chunks:
-            yield from chunk
-        yield from self._tail
 
 
 class FastSnapshotSpec:
@@ -208,7 +161,8 @@ class FastSnapshotSpec:
         self.state_bits = self.local_offsets[-1] + self.local_bits
 
         # ------------------------------------------------------------------
-        # Hot-path tables (see `successors` / `successor_states_into`):
+        # Hot-path tables (see `successors`; the batch kernel converts
+        # them to u64 masks):
         # everything a transition needs that depends only on (pid, reg)
         # is precomputed, and pack_local is replaced by OR-ing field
         # templates onto bits that are already in position (o_level ==
@@ -363,53 +317,6 @@ class FastSnapshotSpec:
                 result.append((pid, self._apply_read(state, pid, local, offset)))
         return result
 
-    def successor_states_into(self, state: int, buf: List[int]) -> List[int]:
-        """Append all successor *states* of ``state`` to ``buf``.
-
-        The reusable-buffer twin of :meth:`successors` for the
-        exploration hot loop: no per-state list allocation, no
-        ``(pid, state)`` tuple per successor (BFS dedup only needs the
-        state).  ``buf`` is cleared first and returned.  Enumeration
-        order matches :meth:`successors` exactly.
-        """
-        buf.clear()
-        append = buf.append
-        local_mask = self.local_mask
-        record_field = self._record_field
-        scan_reset = self._scan_reset
-        unwritten_shift = self.o_unwritten
-        phase_shift = self.o_phase
-        m = self.m
-        m_mask = self.m_mask
-        for pid in range(self.n):
-            offset = self.local_offsets[pid]
-            local = (state >> offset) & local_mask
-            phase = (local >> phase_shift) & 3
-            if phase == _PHASE_DONE:
-                continue
-            if phase == _PHASE_WRITE:
-                record = local & record_field
-                unwritten = (local >> unwritten_shift) & m_mask
-                phys_offset = self._phys_offset[pid]
-                write_clear = self._write_clear[pid]
-                for reg in range(m):
-                    if not (unwritten >> reg) & 1:
-                        continue
-                    remaining = unwritten & ~(1 << reg)
-                    if remaining == 0:
-                        remaining = m_mask
-                    new_local = (
-                        record | (remaining << unwritten_shift) | scan_reset
-                    )
-                    append(
-                        (state & write_clear[reg])
-                        | (record << phys_offset[reg])
-                        | (new_local << offset)
-                    )
-            else:  # scanning
-                append(self._apply_read(state, pid, local, offset))
-        return buf
-
     def _apply_read(self, state: int, pid: int, local: int, offset: int) -> int:
         k_mask = self.k_mask
         view = local & k_mask
@@ -497,24 +404,33 @@ class FastSnapshotSpec:
         checkpointer: Optional[RunCheckpointer] = None,
         por: bool = False,
         por_cycle_proviso: bool = True,
-        engine: str = "scalar",
+        engine: str = ENGINE,
         kernel: str = "auto",
         heartbeat=None,
     ) -> FastExplorationResult:
         """BFS over all reachable states (for this wiring).
 
+        Safety runs go through the level-batched loop
+        (:func:`repro.checker.batch.explore_batch`), which holds whole
+        BFS levels as numpy u64 arrays and therefore needs states that
+        pack into 64 bits (every ``N <= 3`` configuration does).  Its
+        results are field-identical to the generic
+        :class:`~repro.checker.explorer.Explorer` on the unreduced
+        graph, the independent oracle ``tests/test_batch_engine.py``
+        compares it against.
+
         With ``check_wait_freedom`` the full edge list is retained and
         analysed for bad lassos (cycles where some processor steps but
         never terminates); see :mod:`repro.checker.liveness` for the
-        argument.
+        argument.  That path keeps every state and edge in Python RAM,
+        so it combines with none of the reductions or stores below.
 
         With ``fingerprint`` the visited set stores 64-bit state
-        fingerprints instead of the packed states themselves, and the
-        pending frontier is packed into raw 8-byte arrays when states
-        fit 64 bits — TLC's memory model, trading a ~n²/2⁶⁵ collision
-        probability for a much higher state budget in the same memory
-        envelope.  Incompatible with ``check_wait_freedom`` (lasso
-        analysis needs the full indexed state table).
+        fingerprints instead of the packed states themselves (TLC's
+        memory model, with a ~n²/2⁶⁵ collision probability).  The
+        states this loop accepts are 64 bits or fewer, so the key is
+        eight bytes either way: the flag saves no memory here and adds
+        a hashing pass per level.
 
         With ``symmetry`` the visited set keys on orbit
         representatives under the wiring-stabilizer group
@@ -524,14 +440,12 @@ class FastSnapshotSpec:
         the representative count.  The safety verdict is unchanged
         (output comparability/validity is permutation-invariant); a
         violation *message*, checked on the representative, may name a
-        permuted pid.  Stacks with ``fingerprint``; incompatible with
-        ``check_wait_freedom``, whose per-pid lasso analysis needs the
-        unreduced graph.
+        permuted pid.
 
         ``store`` selects the visited-set backend (:mod:`repro.store`):
-        None / the default RamStore keeps the historical in-memory set;
-        the mmap and spill backends bound memory for runs whose visited
-        set outgrows RAM.  All backends produce identical results.
+        None / the default RamStore keeps the in-memory set; the mmap
+        and spill backends bound memory for runs whose visited set
+        outgrows RAM.  All backends produce identical results.
 
         ``checkpointer`` persists the run (frontier + visited dump +
         counters) every ``checkpointer.every`` admitted states; calling
@@ -539,71 +453,31 @@ class FastSnapshotSpec:
         resumes from the last committed checkpoint, or returns the
         recorded result directly if the run already finished.
 
-        With ``por`` an ample-set partial-order reduction
-        (:mod:`repro.checker.por`) prunes commuting interleavings: a
-        state whose processors' current operations touch disjoint
-        physical registers expands only one processor, provided its
-        steps are invisible to ``check_outputs`` (no termination) and
-        reach at least one unvisited state (cycle proviso).  Composes
-        with ``symmetry`` (selection on the representative's concrete
-        successors, canonicalized as usual), ``fingerprint``,
-        ``store`` and ``checkpointer``; incompatible with
-        ``check_wait_freedom``, whose lasso analysis needs the
-        unreduced graph.  ``por_cycle_proviso`` is a test seam
+        With ``por`` an ample-set partial-order reduction prunes
+        commuting interleavings, selecting ample sets for a whole BFS
+        level at once (:class:`~repro.checker.batch.BatchAmpleSelector`,
+        conditions in :mod:`repro.checker.por`).  Verdicts equal the
+        unreduced run's; state and transition counts are the
+        selector's own.  ``por_cycle_proviso`` is a test seam
         (disables C3); leave it on.
 
-        ``engine`` selects the exploration loop: ``"scalar"`` (default)
-        is the historical one-state-at-a-time loop and the conformance
-        oracle; ``"batch"`` (:mod:`repro.checker.batch`) processes
-        whole BFS levels as numpy u64 arrays for a large serial
-        throughput gain, with field-identical results.  The batch
-        engine needs numpy (a soft dependency — it raises
-        :class:`~repro.checker.batch.BatchEngineUnavailable` with a
-        clear message when missing), requires states to pack into 64
-        bits, and is incompatible with ``check_wait_freedom`` (the
-        lean batch pipeline keeps no edge list).  With ``por`` the
-        batch engine runs its own level-synchronous ample selector
-        (:class:`~repro.checker.batch.BatchAmpleSelector`): the cycle
-        proviso certifies novelty against ``visited ∪
-        earlier-in-level`` instead of the scalar loop's mid-level
-        visited set, so batch+POR results are verdict-conformant with
-        the scalar selector (same ok/violation/complete) but may pick
-        different — equally sound — ample sets and hence different
-        state/transition counts (see :mod:`repro.checker.por`).
+        ``kernel`` picks the level kernel: ``"auto"`` (default) uses
+        the generated native C kernel (:mod:`repro.checker.native`)
+        when a C compiler is present and the numpy kernel otherwise;
+        ``"numpy"`` and ``"native"`` force a choice (an unavailable
+        ``"native"`` silently degrades to numpy — results are
+        bit-identical either way).
 
-        ``kernel`` picks the batch engine's level kernel: ``"auto"``
-        (default) uses the generated native C kernel
-        (:mod:`repro.checker.native`) when a C compiler is present and
-        the numpy kernel otherwise; ``"numpy"`` and ``"native"`` force
-        a choice (an unavailable ``"native"`` silently degrades to
-        numpy — results are bit-identical either way).  Ignored by the
-        scalar engine.
+        ``engine`` accepts only ``"batch"``, the default: the scalar
+        loop it once selected was removed, and naming it raises
+        :class:`ValueError`.
         """
-        if engine not in ("scalar", "batch"):
-            raise ValueError(
-                f"unknown engine {engine!r}; choose 'scalar' or 'batch'"
-            )
+        require_batch_engine(engine)
         if kernel not in ("auto", "numpy", "native"):
             raise ValueError(
                 f"unknown kernel {kernel!r}; choose 'auto', 'numpy' or"
                 f" 'native'"
             )
-        if engine == "batch":
-            from repro.checker import batch as batch_engine
-
-            batch_engine.require_numpy()
-            if check_wait_freedom:
-                raise ValueError(
-                    "wait-freedom (lasso) analysis needs the full edge"
-                    " list, which the lean batch pipeline never"
-                    " materializes — use the scalar engine"
-                )
-            if self.state_bits > 64:
-                raise ValueError(
-                    f"the batch kernel holds whole levels as raw u64"
-                    f" arrays; this configuration packs states into"
-                    f" {self.state_bits} bits — use the scalar engine"
-                )
         if por and check_wait_freedom:
             raise ValueError(
                 "partial-order reduction prunes interleavings, but"
@@ -625,484 +499,33 @@ class FastSnapshotSpec:
             raise ValueError(
                 "wait-freedom (lasso) analysis keeps a full in-RAM indexed"
                 " state table; disk-backed stores apply to the lean safety"
-                " engines only"
+                " loop only"
             )
-        if checkpointer is not None:
-            if check_wait_freedom:
-                raise ValueError(
-                    "checkpoint/resume covers the lean safety engines;"
-                    " wait-freedom analysis keeps its whole edge list"
-                    " in RAM and cannot be resumed"
-                )
-            if self.state_bits > 64:
-                raise ValueError(
-                    f"checkpoint frontier wire format is raw u64 words;"
-                    f" this configuration packs states into"
-                    f" {self.state_bits} bits"
-                )
-            recorded = checkpointer.completed_result()
-            if recorded is not None:
-                return load_result(FastExplorationResult, recorded)
+        if check_wait_freedom and checkpointer is not None:
+            raise ValueError(
+                "checkpoint/resume covers the lean safety loop;"
+                " wait-freedom analysis keeps its whole edge list"
+                " in RAM and cannot be resumed"
+            )
         if check_wait_freedom:
             return self._explore_with_edges(
                 max_states, check_safety, progress_every
             )
-        if engine == "batch":
-            from repro.checker.batch import explore_batch
+        if checkpointer is not None:
+            recorded = checkpointer.completed_result()
+            if recorded is not None:
+                return load_result(FastExplorationResult, recorded)
+        from repro.checker.batch import explore_batch
 
-            result = explore_batch(
-                self, max_states, check_safety, progress_every,
-                fingerprint, symmetry, store, checkpointer,
-                por, por_cycle_proviso, heartbeat=heartbeat,
-                kernel=kernel,
-            )
-        else:
-            result = self._explore_lean(
-                max_states, check_safety, progress_every, fingerprint,
-                symmetry, store, checkpointer, por, por_cycle_proviso,
-                heartbeat=heartbeat,
-            )
+        result = explore_batch(
+            self, max_states, check_safety, progress_every,
+            fingerprint, symmetry, store, checkpointer,
+            por, por_cycle_proviso, heartbeat=heartbeat,
+            kernel=kernel,
+        )
         if checkpointer is not None:
             checkpointer.mark_complete(asdict(result))
         return result
-
-    def _explore_lean(
-        self,
-        max_states: int,
-        check_safety: bool,
-        progress_every: int,
-        fingerprint: bool,
-        symmetry: bool = False,
-        store: Optional[StoreConfig] = None,
-        checkpointer: Optional[RunCheckpointer] = None,
-        por: bool = False,
-        por_cycle_proviso: bool = True,
-        heartbeat=None,
-    ) -> FastExplorationResult:
-        """Safety-only BFS: dedup set + frontier, no index/order tables.
-
-        This is the hot path of the E4 sweep; it admits states in
-        exactly the same order as the indexed variant, so budgets and
-        early-violation results are identical between the two.  The
-        visited set lives in the configured :mod:`repro.store` backend;
-        the default RamStore keeps the historical inline-set fast path.
-        """
-        canonicalizer = None
-        if symmetry:
-            from repro.checker.symmetry import FastCanonicalizer
-
-            canonicalizer = FastCanonicalizer(self)
-            if not canonicalizer.trivial:
-                return self._explore_lean_symmetric(
-                    canonicalizer, max_states, check_safety,
-                    progress_every, fingerprint, store, checkpointer,
-                    por, por_cycle_proviso, heartbeat=heartbeat,
-                )
-            # Trivial stabilizer: the quotient IS the concrete graph;
-            # fall through to the plain loop and report covered==states.
-        store_obj = (store or StoreConfig()).create()
-        ram_set = (
-            store_obj.raw_set if isinstance(store_obj, RamStore) else None
-        )
-        ram_add = ram_set.add if ram_set is not None else None
-        store_add = store_obj.add
-
-        def _store_counters() -> Optional[Dict[str, int]]:
-            if store is None:
-                return None
-            counters = dict(store_obj.counters())
-            counters["file_bytes"] = store_obj.file_bytes()
-            return counters
-
-        selector = None
-        is_new = None
-        if por:
-            from repro.checker.por import FastAmpleSelector
-
-            selector = FastAmpleSelector(
-                self, check_safety=check_safety,
-                cycle_proviso=por_cycle_proviso,
-            )
-            membership = ram_set if ram_set is not None else store_obj
-            if fingerprint:
-                is_new = lambda s: fingerprint_int(s) not in membership
-            else:
-                is_new = lambda s: s not in membership
-
-        def _por_counters() -> Optional[Dict[str, int]]:
-            return selector.counters.as_dict() if selector is not None else None
-
-        try:
-            initial = self.initial_state()
-            packable = fingerprint and self.state_bits <= 64
-            queue: Optional[_ChunkedIntQueue] = (
-                _ChunkedIntQueue() if packable else None
-            )
-            frontier: Optional[deque] = None if packable else deque()
-            transitions = 0
-            truncated = 0
-            resumed = (
-                checkpointer.latest() if checkpointer is not None else None
-            )
-            if resumed is not None:
-                store_obj.load(resumed.visited())
-                n_seen = resumed.counter("admitted")
-                transitions = resumed.counter("transitions")
-                truncated = resumed.counter("truncated")
-                if selector is not None:
-                    selector.counters.load(resumed.counters)
-                for pending in resumed.frontier():
-                    if packable:
-                        queue.push(pending)
-                    else:
-                        frontier.append(pending)
-            else:
-                if check_safety:
-                    violation = self.check_outputs(initial)
-                    if violation:
-                        return FastExplorationResult(
-                            1, 0, True, violation,
-                            store_counters=_store_counters(),
-                            por_counters=_por_counters(),
-                        )
-                store_add(fingerprint_int(initial) if fingerprint else initial)
-                n_seen = 1
-                if packable:
-                    queue.push(initial)
-                else:
-                    frontier.append(initial)
-            complete = True
-            buf: List[int] = []
-            check_outputs = self.check_outputs
-            successor_states_into = self.successor_states_into
-
-            while True:
-                if heartbeat is not None:
-                    heartbeat.tick(
-                        n_seen, len(queue if packable else frontier),
-                        transitions,
-                    )
-                if checkpointer is not None and checkpointer.due(n_seen):
-                    counters = {
-                        "admitted": n_seen,
-                        "transitions": transitions,
-                        "truncated": truncated,
-                    }
-                    if selector is not None:
-                        counters.update(selector.counters.as_dict())
-                    checkpointer.write(
-                        queue.snapshot() if packable else iter(frontier),
-                        counters,
-                        store_obj,
-                    )
-                if packable:
-                    state = queue.pop()
-                    if state < 0:
-                        break
-                else:
-                    if not frontier:
-                        break
-                    state = frontier.popleft()
-                if selector is None:
-                    successor_states_into(state, buf)
-                else:
-                    selector.expand(state, buf, is_new)
-                transitions += len(buf)
-                for successor in buf:
-                    key = (
-                        fingerprint_int(successor) if fingerprint else successor
-                    )
-                    if ram_add is not None:
-                        # Historical hot path: inline set ops, no store
-                        # dispatch per generated transition.
-                        if key in ram_set:
-                            continue
-                        if n_seen >= max_states:
-                            complete = False
-                            truncated += 1
-                            continue
-                        ram_add(key)
-                        n_seen += 1
-                    elif n_seen < max_states:
-                        if not store_add(key):
-                            continue
-                        n_seen += 1
-                    else:
-                        if key in store_obj:
-                            continue
-                        complete = False
-                        truncated += 1
-                        continue
-                    if packable:
-                        queue.push(successor)
-                    else:
-                        frontier.append(successor)
-                    if check_safety:
-                        violation = check_outputs(successor)
-                        if violation:
-                            return FastExplorationResult(
-                                n_seen, transitions, complete, violation,
-                                truncated_transitions=truncated,
-                                store_counters=_store_counters(),
-                                por_counters=_por_counters(),
-                            )
-                    if progress_every and n_seen % progress_every == 0:
-                        print(
-                            f"  ... {n_seen} states,"
-                            f" {transitions} transitions", flush=True
-                        )
-                if not complete:
-                    # Budget exhausted: no pending state can admit a new
-                    # one, so draining the frontier is invariant-free
-                    # wasted work (the seed explorer kept going here).
-                    break
-
-            return FastExplorationResult(
-                states=n_seen,
-                transitions=transitions,
-                complete=complete,
-                truncated_transitions=truncated,
-                covered_states=n_seen if canonicalizer is not None else None,
-                symmetry_group_order=(
-                    canonicalizer.order if canonicalizer is not None else None
-                ),
-                store_counters=_store_counters(),
-                por_counters=_por_counters(),
-            )
-        finally:
-            store_obj.close()
-
-    def _explore_lean_symmetric(
-        self,
-        canonicalizer,
-        max_states: int,
-        check_safety: bool,
-        progress_every: int,
-        fingerprint: bool,
-        store: Optional[StoreConfig] = None,
-        checkpointer: Optional[RunCheckpointer] = None,
-        por: bool = False,
-        por_cycle_proviso: bool = True,
-        heartbeat=None,
-    ) -> FastExplorationResult:
-        """The lean BFS over the quotient graph: one state per orbit.
-
-        Every generated successor is canonicalized before the
-        visited-set lookup, so both the visited set and the frontier
-        hold orbit representatives only.  Without ``fingerprint`` a
-        raw-successor cache additionally skips re-canonicalizing
-        concrete successors generated more than once (the common case:
-        most generated transitions hit already-seen states), trading
-        memory bounded by the *unreduced* successor count for a large
-        cut in canonicalizer calls; fingerprint mode — and any
-        disk-backed store, whose whole point is bounded RAM — keeps the
-        memory-lean contract instead and pays the canonicalization per
-        generated transition.  The cache is pure memoization, so every
-        backend still reports identical states/transitions/verdicts.
-        The batch engine keeps no such cache: it canonicalizes whole
-        levels at once, which costs less than a second dedup pass over
-        the raw successors, and replays the cache's one visible effect
-        (a budget trip counts a repeated raw successor once) directly.
-        """
-        canonical = canonicalizer.canonical
-        orbit_size = canonicalizer.orbit_size
-        store_obj = (store or StoreConfig()).create()
-        ram_set = (
-            store_obj.raw_set if isinstance(store_obj, RamStore) else None
-        )
-        ram_add = ram_set.add if ram_set is not None else None
-        store_add = store_obj.add
-
-        def _store_counters() -> Optional[Dict[str, int]]:
-            if store is None:
-                return None
-            counters = dict(store_obj.counters())
-            counters["file_bytes"] = store_obj.file_bytes()
-            return counters
-
-        selector = None
-        if por:
-            from repro.checker.por import FastAmpleSelector
-
-            selector = FastAmpleSelector(
-                self, check_safety=check_safety,
-                cycle_proviso=por_cycle_proviso,
-            )
-
-        def _por_counters() -> Optional[Dict[str, int]]:
-            return selector.counters.as_dict() if selector is not None else None
-
-        try:
-            initial = canonical(self.initial_state())
-            packable = fingerprint and self.state_bits <= 64
-            queue: Optional[_ChunkedIntQueue] = (
-                _ChunkedIntQueue() if packable else None
-            )
-            frontier: Optional[deque] = None if packable else deque()
-            transitions = 0
-            truncated = 0
-            covered = 0
-            resumed = (
-                checkpointer.latest() if checkpointer is not None else None
-            )
-            if resumed is not None:
-                store_obj.load(resumed.visited())
-                n_seen = resumed.counter("admitted")
-                transitions = resumed.counter("transitions")
-                truncated = resumed.counter("truncated")
-                covered = resumed.counter("covered")
-                if selector is not None:
-                    selector.counters.load(resumed.counters)
-                for pending in resumed.frontier():
-                    if packable:
-                        queue.push(pending)
-                    else:
-                        frontier.append(pending)
-            else:
-                if check_safety:
-                    violation = self.check_outputs(initial)
-                    if violation:
-                        return FastExplorationResult(
-                            1, 0, True, violation,
-                            covered_states=orbit_size(initial),
-                            symmetry_group_order=canonicalizer.order,
-                            store_counters=_store_counters(),
-                            por_counters=_por_counters(),
-                        )
-                store_add(fingerprint_int(initial) if fingerprint else initial)
-                n_seen = 1
-                covered = orbit_size(initial)
-                if packable:
-                    queue.push(initial)
-                else:
-                    frontier.append(initial)
-            # The raw-successor cache is RAM-only by design (it grows
-            # with the unreduced graph); a cold cache after resume only
-            # costs extra canonicalizer calls, never correctness.
-            raw_seen: Optional[Set[int]] = (
-                None if (fingerprint or ram_set is None) else set(ram_set)
-            )
-            complete = True
-            buf: List[int] = []
-            check_outputs = self.check_outputs
-            successor_states_into = self.successor_states_into
-            is_new = None
-            if selector is not None:
-                membership = ram_set if ram_set is not None else store_obj
-
-                def is_new(successor: int) -> bool:
-                    # A raw successor seen before had its representative
-                    # admitted then — certainly not new.
-                    if raw_seen is not None and successor in raw_seen:
-                        return False
-                    representative = canonical(successor)
-                    key = (
-                        fingerprint_int(representative)
-                        if fingerprint
-                        else representative
-                    )
-                    return key not in membership
-
-            while True:
-                if heartbeat is not None:
-                    heartbeat.tick(
-                        n_seen, len(queue if packable else frontier),
-                        transitions,
-                    )
-                if checkpointer is not None and checkpointer.due(n_seen):
-                    counters = {
-                        "admitted": n_seen,
-                        "transitions": transitions,
-                        "truncated": truncated,
-                        "covered": covered,
-                    }
-                    if selector is not None:
-                        counters.update(selector.counters.as_dict())
-                    checkpointer.write(
-                        queue.snapshot() if packable else iter(frontier),
-                        counters,
-                        store_obj,
-                    )
-                if packable:
-                    state = queue.pop()
-                    if state < 0:
-                        break
-                else:
-                    if not frontier:
-                        break
-                    state = frontier.popleft()
-                if selector is None:
-                    successor_states_into(state, buf)
-                else:
-                    selector.expand(state, buf, is_new)
-                transitions += len(buf)
-                for successor in buf:
-                    if raw_seen is not None:
-                        if successor in raw_seen:
-                            continue
-                        raw_seen.add(successor)
-                    representative = canonical(successor)
-                    key = (
-                        fingerprint_int(representative)
-                        if fingerprint
-                        else representative
-                    )
-                    if ram_add is not None:
-                        if key in ram_set:
-                            continue
-                        if n_seen >= max_states:
-                            complete = False
-                            truncated += 1
-                            continue
-                        ram_add(key)
-                        n_seen += 1
-                    elif n_seen < max_states:
-                        if not store_add(key):
-                            continue
-                        n_seen += 1
-                    else:
-                        if key in store_obj:
-                            continue
-                        complete = False
-                        truncated += 1
-                        continue
-                    covered += orbit_size(representative)
-                    if packable:
-                        queue.push(representative)
-                    else:
-                        frontier.append(representative)
-                    if check_safety:
-                        violation = check_outputs(representative)
-                        if violation:
-                            return FastExplorationResult(
-                                n_seen, transitions, complete, violation,
-                                truncated_transitions=truncated,
-                                covered_states=covered,
-                                symmetry_group_order=canonicalizer.order,
-                                store_counters=_store_counters(),
-                                por_counters=_por_counters(),
-                            )
-                    if progress_every and n_seen % progress_every == 0:
-                        print(
-                            f"  ... {n_seen} representatives,"
-                            f" {covered} covered,"
-                            f" {transitions} transitions", flush=True
-                        )
-                if not complete:
-                    break
-
-            return FastExplorationResult(
-                states=n_seen,
-                transitions=transitions,
-                complete=complete,
-                truncated_transitions=truncated,
-                covered_states=covered,
-                symmetry_group_order=canonicalizer.order,
-                store_counters=_store_counters(),
-                por_counters=_por_counters(),
-            )
-        finally:
-            store_obj.close()
 
     def _explore_with_edges(
         self, max_states: int, check_safety: bool, progress_every: int
@@ -1201,7 +624,7 @@ class FastSnapshotSpec:
 #: first).  The batch engine compares the live class attribute against
 #: this to decide whether its vectorized safety mask is faithful or an
 #: override (tests seed violations through ``check_outputs``) requires
-#: per-state scalar calls.
+#: per-state calls.
 _STOCK_CHECK_OUTPUTS = FastSnapshotSpec.check_outputs
 
 

@@ -16,8 +16,7 @@ fingerprint to assign states to frontier shards deterministically):
   bitmask explorer) folded 64 bits at a time through splitmix64;
 - :func:`splitmix64_many` — the same mix over a whole numpy u64 array
   (the batch engine's fingerprints, the spill store's Bloom probes);
-  this module never imports numpy itself, so scalar-only callers stay
-  numpy-free;
+  it takes the array from its caller and never imports numpy itself;
 - :func:`fingerprint_state` — object-encoded :class:`GlobalState`\\ s,
   mixed from the state's cached structural hash.  NOTE: Python string
   hashing is randomized per interpreter, so these fingerprints are only

@@ -23,10 +23,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
-try:  # numpy is a soft dependency of the whole batch stack
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via native_available
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.checker.batch import BatchKernel
 from repro.checker.native.build import (
@@ -59,13 +56,11 @@ class NativeKernelUnavailable(RuntimeError):
 def native_available() -> bool:
     """True when a native kernel could actually be built and loaded.
 
-    Requires numpy (the wrappers exchange numpy buffers), a C compiler
-    on PATH, and no explicit opt-out via ``REPRO_NATIVE_DISABLE=1``
-    (the test seam for the degradation paths).
+    Requires a C compiler on PATH and no explicit opt-out via
+    ``REPRO_NATIVE_DISABLE=1`` (the test seam for the degradation
+    paths).
     """
     if os.environ.get("REPRO_NATIVE_DISABLE") == "1":
-        return False
-    if np is None:
         return False
     return find_compiler() is not None
 
@@ -101,8 +96,8 @@ def warn_kernel_fallback() -> None:
     import sys
 
     print(
-        "warning: --kernel native unavailable (no C compiler, no numpy,"
-        " or REPRO_NATIVE_DISABLE=1); falling back to the numpy batch"
+        "warning: --kernel native unavailable (no C compiler, or"
+        " REPRO_NATIVE_DISABLE=1); falling back to the numpy batch"
         " kernel — results are identical, only slower",
         file=sys.stderr,
     )
@@ -314,7 +309,7 @@ class NativeKernel(BatchKernel):
         super().__init__(spec)
         if not native_available():
             raise NativeKernelUnavailable(
-                "native kernel unavailable: needs numpy and a C compiler"
+                "native kernel unavailable: needs a C compiler"
                 " (and REPRO_NATIVE_DISABLE unset)"
             )
         baked: Tuple[Any, ...] = ()

@@ -29,7 +29,7 @@ admissions reach the budget), which is deterministic for a fixed
 ``jobs`` but may admit slightly more than ``max_states``.
 
 Everything degrades gracefully: ``jobs=1`` (or an environment without
-usable ``multiprocessing``) runs the serial engines in-process with
+usable ``multiprocessing``) runs the serial loop in-process with
 identical semantics.
 """
 
@@ -42,10 +42,14 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.checker import batch as batch_mod
 from repro.checker.fast_snapshot import (
     FastExplorationResult,
     FastSnapshotSpec,
     canonical_wiring_classes,
+    require_batch_engine,
 )
 from repro.checker.fingerprint import fingerprint_int
 from repro.store.base import StoreConfig, require_cross_process_stable
@@ -64,23 +68,20 @@ def class_key(wiring: WiringClass) -> str:
     return ";".join(",".join(str(r) for r in perm) for perm in wiring)
 
 
-def engine_label(engine: str, kernel: str = "auto") -> str:
-    """Heartbeat/progress tag naming the engine and its effective kernel.
+def kernel_label(kernel: str = "auto") -> str:
+    """Heartbeat/progress tag naming the effective level kernel.
 
-    The scalar engine has no kernel choice; for the batch engine the
-    ``auto``/``native`` request is resolved to what will actually run on
-    this host so progress lines are truthful even after a silent numpy
-    fallback.
+    The ``auto``/``native`` request is resolved to what will actually
+    run on this host so progress lines are truthful even after a silent
+    numpy fallback.
     """
-    if engine != "batch":
-        return f"engine={engine}"
     try:
         from repro.checker.native.loader import resolve_kernel
 
         effective = resolve_kernel(kernel)
     except Exception:  # pragma: no cover - defensive; label only
         effective = kernel
-    return f"engine=batch kernel={effective}"
+    return f"kernel={effective}"
 
 
 # ----------------------------------------------------------------------
@@ -161,12 +162,11 @@ def _class_store(
 def _explore_class_task(
     task: Tuple[
         int, Tuple[int, ...], WiringClass, Optional[int], int, bool, bool,
-        bool, Optional[StoreConfig], bool, str, str, Optional[float],
+        bool, Optional[StoreConfig], bool, str, Optional[float],
     ],
 ) -> Tuple[int, FastExplorationResult]:
     (index, inputs, wiring, level_target, max_states, check_safety,
-     fingerprint, symmetry, store, por, engine, kernel,
-     heartbeat_every) = task
+     fingerprint, symmetry, store, por, kernel, heartbeat_every) = task
     heartbeat = None
     if heartbeat_every is not None:
         from repro.service.heartbeat import Heartbeat
@@ -174,11 +174,11 @@ def _explore_class_task(
         # Per-class heartbeats are labelled so interleaved lines from a
         # parallel sweep stay attributable (floats cross the task tuple;
         # Heartbeat itself holds an unpicklable emit callable).  The
-        # label names the engine (and the batch engine's effective
-        # kernel) so long campaign logs are self-describing.
+        # label names the effective kernel so long campaign logs are
+        # self-describing.
         heartbeat = Heartbeat(
             heartbeat_every,
-            label=f"class-{index:03d} {engine_label(engine, kernel)}",
+            label=f"class-{index:03d} {kernel_label(kernel)}",
         )
     spec = FastSnapshotSpec(inputs, wiring, level_target=level_target)
     result = spec.explore(
@@ -188,7 +188,6 @@ def _explore_class_task(
         symmetry=symmetry,
         store=_class_store(store, index),
         por=por,
-        engine=engine,
         kernel=kernel,
         heartbeat=heartbeat,
     )
@@ -209,7 +208,7 @@ def check_snapshot_classes(
     sweep_dir: Optional[str] = None,
     sweep_meta: Optional[Dict] = None,
     por: bool = False,
-    engine: str = "scalar",
+    engine: str = "batch",
     kernel: str = "auto",
     heartbeat_every: Optional[float] = None,
 ) -> List[Tuple[WiringClass, FastExplorationResult]]:
@@ -227,11 +226,10 @@ def check_snapshot_classes(
     class exploration (:mod:`repro.checker.por`); verdicts are
     unchanged, per-class ``por_counters`` report the pruning.
 
-    ``engine`` selects each class's exploration engine
-    (:meth:`FastSnapshotSpec.explore`'s ``scalar``/``batch``); verdicts
-    and counts are engine-independent by the batch engine's conformance
-    contract.  ``kernel`` selects the batch engine's level kernel
-    (``auto``/``numpy``/``native``) and is ignored by the scalar engine.
+    ``kernel`` selects each class's level kernel
+    (``auto``/``numpy``/``native``; bit-identical results).  ``engine``
+    accepts only ``"batch"``, the default; any other value raises
+    :class:`ValueError` naming the removed scalar loop.
 
     ``store`` selects each class's visited-set backend (disk-backed
     classes are namespaced per class under the store directory).  With
@@ -242,6 +240,7 @@ def check_snapshot_classes(
     semantic configuration) is validated against the directory's
     ``meta.json`` so incomparable sweeps cannot be mixed.
     """
+    require_batch_engine(engine)
     registers = n_registers if n_registers is not None else n_processors
     classes = canonical_wiring_classes(n_processors, registers)
     chosen_inputs = (
@@ -265,7 +264,7 @@ def check_snapshot_classes(
             pending.append(index)
     tasks = [
         (index, chosen_inputs, classes[index], level_target, max_states,
-         check_safety, fingerprint, symmetry, store, por, engine, kernel,
+         check_safety, fingerprint, symmetry, store, por, kernel,
          heartbeat_every)
         for index in pending
     ]
@@ -308,7 +307,7 @@ class ShardEngine:
 
     Owns states with ``fp(state) % n_shards == shard``.  This class is
     the *engine* half of a shard worker: it holds the shard's visited
-    set, canonicalizer, batch kernel, and ample selector, and processes
+    set, canonicalizer, level kernel, and ample selector, and processes
     one BFS round at a time.  The *transport* half — how rounds arrive
     and layer replies leave — is supplied by the caller: the pipe-based
     :func:`_shard_worker` (multiprocessing, same host) and the
@@ -319,18 +318,24 @@ class ShardEngine:
     :meth:`process_round` admits a round's new entries into the visited
     set, expands that BFS layer, and returns ``(admitted, transitions,
     violation, outboxes, covered, skipped, por_counters)`` where
-    ``outboxes`` maps each shard id to the successor entries it owns
-    and ``por_counters`` is the shard's *cumulative* reduction
-    statistics (``None`` without ``por``).  For checkpointing,
-    :meth:`dump_to` streams the visited keys to a u64 file and
-    :meth:`load_from` bulk-loads a previous dump; :meth:`visited_keys`
-    / :meth:`load_keys` do the same through memory for transports that
-    move dumps over the wire instead of a shared filesystem.
+    ``outboxes`` maps each shard id to the u64 array of successor
+    entries it owns and ``por_counters`` is the shard's *cumulative*
+    reduction statistics (``None`` without ``por``).  For
+    checkpointing, :meth:`dump_to` streams the visited keys to a u64
+    file and :meth:`load_from` bulk-loads a previous dump;
+    :meth:`visited_keys` / :meth:`load_keys` do the same through memory
+    for transports that move dumps over the wire instead of a shared
+    filesystem.
 
     The visited set lives in the configured :mod:`repro.store` backend,
     namespaced per shard (``shard-NNN/`` by default;
     ``store_namespace`` overrides it so a service worker re-assigned a
     shard at a new epoch never collides with stale on-disk files).
+
+    Each round runs as numpy u64 arrays end to end — admission dedup,
+    safety mask, successor expansion, canonicalization, ownership
+    fingerprints, and the outboxes themselves — on the level kernel
+    :func:`repro.checker.batch.make_kernel` builds (``kernel``).
 
     Wire format: every boundary state travels as ``(state << 1) |
     canonical_bit``.  The bit asserts the sender already put the state
@@ -346,31 +351,17 @@ class ShardEngine:
     ``covered`` then sums the orbit sizes of this layer's admissions
     (``None`` otherwise).
 
-    With ``por`` the shard expands each admitted state through a
-    :class:`~repro.checker.por.FastAmpleSelector`.  The cycle proviso
+    With ``por`` the shard runs the level-synchronous
+    :class:`~repro.checker.batch.BatchAmpleSelector` over each round's
+    admissions; the per-round masks drive the masked ``expand_level``,
+    so shards never re-expand pruned transitions.  The cycle proviso
     (C3) only trusts *locally decidable* novelty: a successor counts as
     certainly-new exactly when this shard owns it (canonical-form
-    fingerprint mod ``n_shards``) and it is absent from this shard's
-    visited set; foreign-owned successors are pessimistically treated
-    as possibly-visited, which can only force extra full expansions,
-    never unsound pruning.
-
-    With ``engine="batch"`` the shard processes each round as numpy
-    u64 arrays end to end — admission dedup, safety mask, successor
-    expansion, canonicalization, ownership fingerprints, and the
-    outboxes themselves all stay vectorized, and boundary batches cross
-    the transport as arrays.  Admission order, violation choice, and
-    every reported count match the scalar engine exactly (a driver
-    never mixes engines within a run).  With ``por`` on top, the shard
-    runs the level-synchronous
-    :class:`~repro.checker.batch.BatchAmpleSelector` over each round's
-    admissions: per-round ample-selection masks drive the masked
-    ``expand_level``, so shards never re-expand pruned transitions, and
-    C3 composes the sharded ownership pessimism above with the
-    level-synchronous ``visited ∪ earlier-in-round`` certification —
-    batch+POR shard results are verdict-conformant with (not
-    count-identical to) scalar+POR ones, exactly as in the serial
-    engines.
+    fingerprint mod ``n_shards``), it is absent from this shard's
+    visited set, and it is its key's first occurrence in the round's
+    candidate pool; foreign-owned successors are pessimistically
+    treated as possibly-visited, which can only force extra full
+    expansions, never unsound pruning.
     """
 
     def __init__(
@@ -385,7 +376,6 @@ class ShardEngine:
         symmetry: bool = False,
         store_config: Optional[StoreConfig] = None,
         por: bool = False,
-        engine: str = "scalar",
         kernel: str = "auto",
         store_namespace: Optional[str] = None,
     ) -> None:
@@ -409,33 +399,15 @@ class ShardEngine:
         self.seen = (store_config or StoreConfig()).create(
             shard=store_namespace or f"shard-{shard:03d}"
         )
-        self.use_batch = engine == "batch"
-        self._np = None
-        self._batch_mod = None
-        self.kernel = None
-        self.batch_canon = None
-        if self.use_batch:
-            from repro.checker import batch as batch_mod
-
-            batch_mod.require_numpy()
-            import numpy as np
-
-            self._np = np
-            self._batch_mod = batch_mod
-            self.kernel = batch_mod.make_kernel(spec, kernel, canonicalizer)
-            self.batch_canon = self.kernel.make_canonicalizer(canonicalizer)
-        self.selector = None
-        self.batch_selector = None
-        if por and self.use_batch:
-            assert self.kernel is not None
-            self.batch_selector = self._batch_mod.BatchAmpleSelector(
+        self.kernel = batch_mod.make_kernel(spec, kernel, canonicalizer)
+        self.batch_canon = self.kernel.make_canonicalizer(canonicalizer)
+        self.batch_selector = (
+            batch_mod.BatchAmpleSelector(
                 self.kernel, check_safety=check_safety
             )
-        elif por:
-            from repro.checker.por import FastAmpleSelector
-
-            self.selector = FastAmpleSelector(spec, check_safety=check_safety)
-        self._buf: List[int] = []
+            if por
+            else None
+        )
 
     # -- POR helpers ---------------------------------------------------
 
@@ -453,30 +425,15 @@ class ShardEngine:
         # AND absent from this shard's visited set, so "possibly
         # visited" is foreign-owned OR present.  In fingerprint mode
         # the key already is the ownership digest; otherwise it is the
-        # canonical state and the digest is recomputed, matching the
-        # scalar closure.
-        np = self._np
+        # canonical state and the digest is recomputed.
         fps = (
             keys
             if self.fingerprint
             else self.kernel.fingerprint_many(keys)
         )
         foreign = (fps % np.uint64(self.n_shards)) != np.uint64(self.shard)
-        present = np.asarray(
-            self.seen.contains_many(keys.tolist()), dtype=bool
-        )
+        present = np.asarray(self.seen.contains_many(keys), dtype=bool)
         return foreign | present
-
-    def _is_new(self, successor: int) -> bool:
-        # Sharded C3: only a locally-owned, locally-unvisited successor
-        # is certainly new; anything owned elsewhere might already sit
-        # in a foreign shard's visited set.
-        if self.canonicalizer is not None:
-            successor = self.canonicalizer.canonical(successor)
-        if fingerprint_int(successor) % self.n_shards != self.shard:
-            return False
-        key = fingerprint_int(successor) if self.fingerprint else successor
-        return key not in self.seen
 
     # -- checkpoint plumbing -------------------------------------------
 
@@ -505,16 +462,8 @@ class ShardEngine:
 
     def process_round(self, batch):
         """Admit + expand one round; see the class docstring for fields."""
-        if self.use_batch:
-            return self._process_round_batch(batch)
-        return self._process_round_scalar(batch)
-
-    def _process_round_batch(self, batch):
-        np = self._np
-        batch_mod = self._batch_mod
         kernel = self.kernel
         batch_canon = self.batch_canon
-        assert kernel is not None
         entries = np.asarray(batch, dtype=np.uint64)
         states = entries >> np.uint64(1)
         skipped = 0
@@ -533,11 +482,11 @@ class ShardEngine:
         )
         unique_keys, first_occ = kernel.unique_first(keys)
         present = np.asarray(
-            self.seen.contains_many(unique_keys.tolist()), dtype=bool
+            self.seen.contains_many(unique_keys), dtype=bool
         )
         admit_pos = np.sort(first_occ[~present])
         admitted_arr = states[admit_pos]
-        self.seen.add_many(keys[admit_pos].tolist())
+        self.seen.add_many(keys[admit_pos])
         n_admitted = int(admitted_arr.size)
         covered = None
         if self.symmetry:
@@ -582,61 +531,6 @@ class ShardEngine:
             else None,
         )
 
-    def _process_round_scalar(self, batch):
-        spec = self.spec
-        canonicalizer = self.canonicalizer
-        seen_add = self.seen.add
-        buf = self._buf
-        admitted: List[int] = []
-        covered = 0 if self.symmetry else None
-        violation = None
-        skipped = 0
-        for entry in batch:
-            state = entry >> 1
-            if canonicalizer is not None:
-                if entry & 1:
-                    skipped += 1  # sender certified canonical form
-                else:
-                    state = canonicalizer.canonical(state)
-            key = fingerprint_int(state) if self.fingerprint else state
-            if not seen_add(key):
-                continue
-            admitted.append(state)
-            if self.symmetry:
-                covered += (
-                    canonicalizer.orbit_size(state)
-                    if canonicalizer is not None
-                    else 1
-                )
-            if self.check_safety and violation is None:
-                violation = spec.check_outputs(state)
-        transitions = 0
-        outboxes: Dict[int, List[int]] = {}
-        if violation is None:
-            canonical = (
-                canonicalizer.canonical if canonicalizer is not None else None
-            )
-            canonical_bit = 1 if canonical is not None else 0
-            for state in admitted:
-                if self.selector is None:
-                    spec.successor_states_into(state, buf)
-                else:
-                    self.selector.expand(state, buf, self._is_new)
-                transitions += len(buf)
-                for successor in buf:
-                    if canonical is not None:
-                        successor = canonical(successor)
-                    owner = fingerprint_int(successor) % self.n_shards
-                    outboxes.setdefault(owner, []).append(
-                        (successor << 1) | canonical_bit
-                    )
-        return (
-            len(admitted), transitions, violation, outboxes, covered, skipped,
-            self.selector.counters.as_dict()
-            if self.selector is not None
-            else None,
-        )
-
 
 def _shard_worker(
     conn,
@@ -650,7 +544,6 @@ def _shard_worker(
     symmetry: bool = False,
     store_config: Optional[StoreConfig] = None,
     por: bool = False,
-    engine: str = "scalar",
     kernel: str = "auto",
 ) -> None:
     """Pipe transport around one :class:`ShardEngine`.
@@ -669,7 +562,7 @@ def _shard_worker(
         shard_engine = ShardEngine(
             inputs, wiring, level_target, shard, n_shards, check_safety,
             fingerprint, symmetry=symmetry, store_config=store_config,
-            por=por, engine=engine, kernel=kernel,
+            por=por, kernel=kernel,
         )
         while True:
             message = conn.recv()
@@ -709,7 +602,6 @@ def explore_sharded(
     fingerprint_fn: Callable[[int], int] = fingerprint_int,
     _after_checkpoint: Optional[Callable[[], None]] = None,
     por: bool = False,
-    engine: str = "scalar",
     kernel: str = "auto",
     heartbeat=None,
 ) -> FastExplorationResult:
@@ -732,6 +624,14 @@ def explore_sharded(
     re-canonicalization of every boundary state — the merged result
     reports the skips as ``recanonicalizations_skipped``.
 
+    Every shard worker runs :class:`ShardEngine` on a level kernel
+    (``kernel``: ``auto``/``numpy``/``native``,
+    :func:`repro.checker.batch.make_kernel`; the generated native
+    library is disk-cached, so concurrent shard workers share one
+    compile) and boundary batches cross the pipes as numpy u64 arrays.
+    Wire entries are ``(state << 1) | canonical_bit`` in a u64 word, so
+    state encodings above 63 bits are rejected.
+
     Wait-freedom (lasso) analysis needs the full cross-shard edge list
     and is deliberately not offered here; run the serial engine with
     ``check_wait_freedom=True`` for that (N=2 certification does).
@@ -749,41 +649,20 @@ def explore_sharded(
 
     ``por`` enables ample-set partial-order reduction inside every
     shard (the sharded cycle proviso trusts only locally-owned novelty
-    — see :func:`_shard_worker`); the merged result sums per-shard
+    — see :class:`ShardEngine`); the merged result sums per-shard
     ``por_counters`` and checkpoints persist the running totals, so
-    resumed runs report statistics over the whole exploration.
-
-    ``engine="batch"`` runs every shard worker on the vectorized batch
-    kernel and exchanges boundary batches as numpy u64 arrays (results
-    identical to scalar workers).  It requires numpy and rejects,
-    because wire entries are ``(state << 1) | canonical_bit`` in a u64
-    word, state encodings above 63 bits.  With ``por`` the workers run
-    the level-synchronous
-    :class:`~repro.checker.batch.BatchAmpleSelector` per round
-    (verdict-conformant with, not count-identical to, scalar+POR
-    workers — see :mod:`repro.checker.por`); ``por`` totals round-trip
-    through checkpoints identically for both engines.  ``kernel``
-    selects each batch worker's level kernel
-    (``auto``/``numpy``/``native``, :func:`repro.checker.batch.make_kernel`);
-    the generated native library is disk-cached, so concurrent shard
-    workers share one compile.
+    resumed runs report statistics over the whole exploration.  Its
+    verdicts equal the unreduced run's; its counts depend on the shard
+    partition.
     """
     spec = FastSnapshotSpec(inputs, wiring, level_target=level_target)
     jobs = effective_jobs(jobs)
-    if engine not in ("scalar", "batch"):
+    if spec.state_bits > 63:
         raise ValueError(
-            f"unknown engine {engine!r}; choose 'scalar' or 'batch'"
+            f"sharded wire entries are (state << 1) | canonical_bit in a"
+            f" u64 word; this configuration packs states into"
+            f" {spec.state_bits} bits"
         )
-    if engine == "batch":
-        from repro.checker.batch import require_numpy
-
-        require_numpy()
-        if spec.state_bits > 63:
-            raise ValueError(
-                f"sharded batch wire entries are (state << 1) |"
-                f" canonical_bit in a u64 word; this configuration packs"
-                f" states into {spec.state_bits} bits"
-            )
     if jobs <= 1:
         return spec.explore(
             max_states=max_states,
@@ -793,7 +672,6 @@ def explore_sharded(
             store=store,
             checkpointer=checkpointer,
             por=por,
-            engine=engine,
             kernel=kernel,
             heartbeat=heartbeat,
         )
@@ -805,23 +683,12 @@ def explore_sharded(
         recorded = checkpointer.completed_result()
         if recorded is not None:
             return load_result(FastExplorationResult, recorded)
-        if spec.state_bits > 63:
-            raise ValueError(
-                f"sharded checkpoint frontier entries are (state << 1) |"
-                f" canonical_bit in a u64 word; this configuration packs"
-                f" states into {spec.state_bits} bits"
-            )
 
     canonicalizer = None
     if symmetry:
         from repro.checker.symmetry import FastCanonicalizer
 
         canonicalizer = FastCanonicalizer(spec)
-
-    worker_engine = engine
-    use_batch_workers = worker_engine == "batch"
-    if use_batch_workers:
-        import numpy as np
 
     def _died(shard: int) -> RuntimeError:
         hint = (
@@ -864,7 +731,7 @@ def explore_sharded(
                     args=(
                         child_conn, tuple(inputs), wiring, level_target,
                         shard, jobs, check_safety, fingerprint, symmetry,
-                        store, por, worker_engine, kernel,
+                        store, por, kernel,
                     ),
                     daemon=True,
                 )
@@ -881,7 +748,6 @@ def explore_sharded(
                 store=store,
                 checkpointer=checkpointer,
                 por=por,
-                engine=engine,
                 kernel=kernel,
             )
 
@@ -977,15 +843,11 @@ def explore_sharded(
                     recanon_skipped += shard_skipped
                 if shard_violation is not None and violation is None:
                     violation = shard_violation
-                if use_batch_workers:
-                    # Batch workers ship whole numpy arrays per owner; keep
-                    # them as array parts and concatenate once per round so
-                    # the boundary states never degrade to Python ints.
-                    for owner, boundary in out.items():
-                        outboxes.setdefault(owner, []).append(boundary)
-                else:
-                    for owner, boundary in out.items():
-                        outboxes.setdefault(owner, []).extend(boundary)
+                # Workers ship whole numpy arrays per owner; keep them as
+                # array parts and concatenate once per round so the
+                # boundary states never degrade to Python ints.
+                for owner, boundary in out.items():
+                    outboxes.setdefault(owner, []).append(boundary)
             if violation is not None:
                 return _finish(FastExplorationResult(
                     states=states,
@@ -997,16 +859,11 @@ def explore_sharded(
                     recanonicalizations_skipped=recanon_skipped,
                     por_counters=_por_totals(),
                 ))
-            if use_batch_workers:
-                inboxes = {}
-                for owner, parts in outboxes.items():
-                    merged = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                    if merged.size:
-                        inboxes[owner] = merged
-            else:
-                inboxes = {
-                    owner: batch for owner, batch in outboxes.items() if batch
-                }
+            inboxes = {}
+            for owner, parts in outboxes.items():
+                merged = parts[0] if len(parts) == 1 else np.concatenate(parts)
+                if merged.size:
+                    inboxes[owner] = merged
             if states >= max_states and inboxes:
                 complete = False
                 truncated = sum(len(batch) for batch in inboxes.values())

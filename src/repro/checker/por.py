@@ -53,7 +53,7 @@ conditions (Clarke–Grumberg–Peled, ch. 10):
   the BFS variant of the proviso and prevents the classic livelock
   where a cycle of invisible steps starves the other processors
   forever.  The membership test is supplied by the engine as a
-  closure over its visited structure (fingerprint store, canonical
+  check against its visited structure (fingerprint store, canonical
   set, ...), so the proviso composes with every backend; sharded
   engines can only certify locally-owned successors as new and are
   therefore pessimistic (sound, weaker reduction).
@@ -65,28 +65,30 @@ same pipeline as an unreduced transition.  Reduced paths are real
 paths of the full system, so counterexample reconstruction needs no
 POR-specific handling.
 
-Composition with the batch engine: a *level-synchronous* formulation.
-The vectorized level kernel (:mod:`repro.checker.batch`) selects ample
-sets for a whole BFS level at once: :class:`FootprintTables` compiles
-the write-scan independence relation above into per-pid u64 lookup
-arrays (unwritten-mask -> physical write footprint), C0/C1 become
-bitmask AND-reductions over whole frontier arrays, C2 is the same
-outputs-only visibility mask applied to vectorized scan successors,
-and C3 certifies novelty against ``visited ∪ earlier-in-level``: a
-tentative ample successor counts as *new* only when its key is absent
-from the visited set as of the level boundary (one bulk
-``contains_many`` gather, replacing the scalar mid-level ``is_new``
-closure) **and** it is the first occurrence of that key within the
+Two selectors implement these conditions.  :class:`AmpleSelector`
+works state by state on the generic
+:class:`~repro.checker.system.SystemSpec`; its C3 asks the explorer's
+visited set, which grows as the BFS admits states.  The packed-integer
+loop (:mod:`repro.checker.batch`) selects ample sets for a whole BFS
+level at once: :class:`FootprintTables` compiles the write-scan
+independence relation above into per-pid u64 lookup arrays
+(unwritten-mask -> physical write footprint), C0/C1 become bitmask
+AND-reductions over whole frontier arrays, C2 is the outputs-only
+visibility mask applied to vectorized scan successors, and C3
+certifies novelty against ``visited ∪ earlier-in-level``: a tentative
+ample successor counts as *new* only when its key is absent from the
+visited set as of the level boundary (one bulk ``contains_many``
+gather) **and** it is the first occurrence of that key within the
 current candidate pool.  That proviso is pessimistic *within* a level
 — a successor first produced by an earlier state of the same level
-blocks later ample candidates even though the scalar loop might have
-accepted them — and therefore sound: every key certified new really is
-admitted this level and re-expanded on the next, so no invisible cycle
-can be starved.  The price of the formulation is that the two engines'
-C3 oracles legitimately disagree, so batch+POR conformance is
-verdict-level (same ok/violation/complete), not count-identical as in
-the unreduced case; exhaustive N=2 cross-engine verdict equality is
-enforced in tier-1 and CI.
+blocks later ample candidates even though a state-by-state selector
+might have accepted them — and therefore sound: every key certified
+new really is admitted this level and re-expanded on the next, so no
+invisible cycle can be starved.  Because the two C3 oracles see
+different visited sets, the selectors may pick different ample sets:
+POR conformance is verdict-level (same ok/violation/complete as the
+unreduced run and as ``Explorer(por=True)``), enforced on the
+exhaustive N=2 sweep in tier-1 and CI.
 """
 
 from __future__ import annotations
@@ -285,7 +287,7 @@ def aggregate_visibility(
 
 
 # ----------------------------------------------------------------------
-# Footprint tables (shared by the scalar and batch selectors)
+# Footprint tables (the level-synchronous selector and the C generator)
 # ----------------------------------------------------------------------
 
 
@@ -335,11 +337,10 @@ class FootprintTables:
     footprint (a u64 register bitmask) and successor count.  Both are
     pure functions of the pid's wiring and its packed ``unwritten``
     field, so they compile once into ``(2**m,)`` lookup arrays indexed
-    by that field — the vectorized twin of
-    :class:`FastAmpleSelector`'s scalar ``_wmask_tables``.
+    by that field.
 
-    numpy is imported lazily here so the module (and the scalar
-    selectors) stays importable without it.
+    numpy is imported lazily here so the generic selector and the code
+    generator never load it.
     """
 
     __slots__ = ("wmask", "popcount", "m_mask", "visibility")
@@ -367,152 +368,6 @@ class FootprintTables:
         self.visibility = Visibility(
             all_steps=False, outputs=True, register_mask=0
         )
-
-
-# ----------------------------------------------------------------------
-# Fast (packed-integer) selector
-# ----------------------------------------------------------------------
-
-
-class FastAmpleSelector:
-    """Ample sets over :class:`~repro.checker.fast_snapshot.FastSnapshotSpec`.
-
-    The fast engine's only safety property is ``check_outputs``
-    (terminated outputs comparable + self-inclusive), whose visibility
-    footprint is outputs-only: a step is visible exactly when it moves
-    the stepping processor to ``DONE``.  With ``check_safety=False``
-    nothing is checked and no step is visible.
-
-    ``cycle_proviso`` is a test seam: disabling it demonstrates the
-    classic livelock miss that C3 exists to prevent
-    (``tests/test_por.py``); production callers leave it on.
-    """
-
-    def __init__(
-        self,
-        spec: "FastSnapshotSpec",
-        check_safety: bool = True,
-        cycle_proviso: bool = True,
-    ) -> None:
-        self.spec = spec
-        self.check_safety = check_safety
-        self.cycle_proviso = cycle_proviso
-        self.counters = PORCounters()
-        m = spec.m
-        #: pid -> unwritten-mask -> physical-register write footprint.
-        self._wmask_tables: List[Tuple[int, ...]] = [
-            tuple(_write_footprint_table(spec.wiring[pid], m))
-            for pid in range(spec.n)
-        ]
-        self._popcount = tuple(bin(v).count("1") for v in range(1 << m))
-
-    # ------------------------------------------------------------------
-    def expand(self, state: int, buf: List[int], is_new: IsNew) -> List[int]:
-        """Fill ``buf`` with the selected successors of ``state``.
-
-        Either one processor's successors (an ample set satisfying
-        C0–C3) or, when no candidate qualifies, the full successor set
-        in the engines' canonical enumeration order.  Returns ``buf``.
-        """
-        spec = self.spec
-        buf.clear()
-        local_mask = spec.local_mask
-        phase_shift = spec.o_phase
-        unwritten_shift = spec.o_unwritten
-        m_mask = spec.m_mask
-        pids: List[int] = []
-        locals_: List[int] = []
-        offsets: List[int] = []
-        wmasks: List[int] = []
-        rmasks: List[int] = []
-        total = 0
-        for pid in range(spec.n):
-            offset = spec.local_offsets[pid]
-            local = (state >> offset) & local_mask
-            phase = (local >> phase_shift) & 3
-            if phase == _PHASE_DONE:
-                continue
-            if phase == _PHASE_WRITE:
-                unwritten = (local >> unwritten_shift) & m_mask
-                wmasks.append(self._wmask_tables[pid][unwritten])
-                rmasks.append(0)
-                total += self._popcount[unwritten]
-            else:
-                # A scan conflicts with every write to any register.
-                wmasks.append(0)
-                rmasks.append(m_mask)
-                total += 1
-            pids.append(pid)
-            locals_.append(local)
-            offsets.append(offset)
-
-        counters = self.counters
-        active = len(pids)
-        if active >= 2:
-            proviso_blocked = False
-            for i in range(active):
-                w = wmasks[i]
-                r = rmasks[i]
-                conflict = False
-                for j in range(active):
-                    if j == i:
-                        continue
-                    if (w & (wmasks[j] | rmasks[j])) or (r & wmasks[j]):
-                        conflict = True
-                        break
-                if conflict:
-                    continue
-                offset = offsets[i]
-                cand = self._pid_successors(
-                    state, pids[i], locals_[i], offset
-                )
-                # C2: writes never terminate a processor (invisible);
-                # a scan read is visible iff it finishes the scan.
-                if self.check_safety and r:
-                    succ_phase = (cand[0] >> (offset + phase_shift)) & 3
-                    if succ_phase == _PHASE_DONE:
-                        continue
-                # C3: at least one ample successor must be new.
-                if self.cycle_proviso and not any(is_new(s) for s in cand):
-                    proviso_blocked = True
-                    continue
-                buf.extend(cand)
-                counters.ample_states += 1
-                counters.transitions_pruned += total - len(cand)
-                return buf
-            if proviso_blocked:
-                counters.cycle_proviso_expansions += 1
-        spec.successor_states_into(state, buf)
-        counters.fully_expanded_states += 1
-        return buf
-
-    def _pid_successors(
-        self, state: int, pid: int, local: int, offset: int
-    ) -> List[int]:
-        """One processor's successors, in the canonical (reg-ascending)
-        enumeration order of ``successor_states_into``."""
-        spec = self.spec
-        if ((local >> spec.o_phase) & 3) == _PHASE_SCAN:
-            return [spec._apply_read(state, pid, local, offset)]
-        record = local & spec._record_field
-        unwritten = (local >> spec.o_unwritten) & spec.m_mask
-        phys_offset = spec._phys_offset[pid]
-        write_clear = spec._write_clear[pid]
-        scan_reset = spec._scan_reset
-        out: List[int] = []
-        for reg in range(spec.m):
-            if not (unwritten >> reg) & 1:
-                continue
-            remaining = unwritten & ~(1 << reg)
-            if remaining == 0:
-                remaining = spec.m_mask
-            new_local = record | (remaining << spec.o_unwritten) | scan_reset
-            out.append(
-                (state & write_clear[reg])
-                | (record << phys_offset[reg])
-                | (new_local << offset)
-            )
-        return out
 
 
 # ----------------------------------------------------------------------

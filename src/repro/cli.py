@@ -191,8 +191,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.checker.parallel import (
         check_snapshot_classes,
         class_key,
-        engine_label,
         explore_sharded,
+        kernel_label,
     )
     from repro.checker.fast_snapshot import canonical_wiring_classes
     from repro.checker.properties import SNAPSHOT_SAFETY
@@ -222,28 +222,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
         return 2
 
-    if args.engine == "batch":
-        from repro.checker.batch import BatchEngineUnavailable, require_numpy
-
-        try:
-            require_numpy()
-        except BatchEngineUnavailable as exc:
-            print(f"error: {exc}")
-            return 2
-
-    # Resolve the batch kernel once up front: an explicit --kernel
+    # Resolve the level kernel once up front: an explicit --kernel
     # native that cannot run here degrades to numpy with a single
     # warning (results are identical), never an error.
-    kernel = args.kernel
-    if args.engine == "batch":
-        from repro.checker.native.loader import (
-            resolve_kernel,
-            warn_kernel_fallback,
-        )
+    from repro.checker.native.loader import (
+        resolve_kernel,
+        warn_kernel_fallback,
+    )
 
-        kernel = resolve_kernel(args.kernel)
-        if args.kernel == "native" and kernel != "native":
-            warn_kernel_fallback()
+    kernel = resolve_kernel(args.kernel)
+    if args.kernel == "native" and kernel != "native":
+        warn_kernel_fallback()
 
     usable = os.cpu_count() or 1
     jobs = max(1, args.jobs)
@@ -272,14 +261,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         else Path(args.checkpoint_dir) if args.checkpoint_dir is not None
         else None
     )
-    if args.store == "spill":
-        from repro.store.spill import require_numpy as require_spill_numpy
-
-        try:
-            require_spill_numpy()
-        except StoreError as exc:
-            print(f"error: {exc}")
-            return 2
     store_cfg = None
     if args.store != "ram" or args.store_dir is not None:
         store_cfg = StoreConfig(
@@ -341,22 +322,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 status = "OK" if ok else "VIOLATED"
                 print(f"wiring {wiring.permutations()}: {result.states}"
                       f" states, safety+wait-freedom {status}{suffix}")
-            if (
-                store_cfg is not None
-                or ckpt_base is not None
-                or args.por
-                or args.engine == "batch"
-            ):
+            if store_cfg is not None or ckpt_base is not None or args.por:
                 # The full-edge N=2 engine keeps object tables that only
                 # live in RAM (and its liveness pass needs the unreduced
-                # graph), so --store / checkpointing / --por / --engine
-                # batch run through a fast class sweep on top (the
-                # --symmetry precedent: both passes, one command).
+                # graph), so --store / checkpointing / --por run through
+                # a fast class sweep on top (the --symmetry precedent:
+                # both passes, one command).
                 rows = check_snapshot_classes(
                     2, budget=budget, jobs=jobs,
                     fingerprint=args.fingerprint, symmetry=args.symmetry,
-                    store=store_cfg, por=args.por, engine=args.engine,
-                    kernel=kernel,
+                    store=store_cfg, por=args.por, kernel=kernel,
                     sweep_dir=str(ckpt_base) if ckpt_base else None,
                     sweep_meta={**meta_base, "engine": "sweep"},
                     heartbeat_every=args.heartbeat,
@@ -414,17 +389,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
                     heartbeat = Heartbeat(
                         args.heartbeat,
-                        label=(
-                            f"class-{index:03d}"
-                            f" {engine_label(args.engine, kernel)}"
-                        ),
+                        label=f"class-{index:03d} {kernel_label(kernel)}",
                     )
                 result = explore_sharded(
                     inputs, wiring, jobs=jobs, max_states=max_states,
                     fingerprint=args.fingerprint, symmetry=args.symmetry,
                     store=class_store, checkpointer=checkpointer,
-                    por=args.por, engine=args.engine, kernel=kernel,
-                    heartbeat=heartbeat,
+                    por=args.por, kernel=kernel, heartbeat=heartbeat,
                 )
                 status = "OK" if result.ok else f"VIOLATED: {result.violation}"
                 if not result.ok:
@@ -441,8 +412,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             rows = check_snapshot_classes(
                 args.n, budget=budget, jobs=jobs,
                 fingerprint=args.fingerprint, symmetry=args.symmetry,
-                store=store_cfg, por=args.por, engine=args.engine,
-                kernel=kernel,
+                store=store_cfg, por=args.por, kernel=kernel,
                 sweep_dir=str(ckpt_base) if ckpt_base else None,
                 sweep_meta=(
                     {**meta_base, "engine": "sweep"}
@@ -648,7 +618,7 @@ def _print_job(record) -> int:
     spec = record.spec
     print(f"{record.job_id}: {record.state}"
           f" (n={spec.n}, budget={spec.budget or 'exhaustive'},"
-          f" engine={spec.engine}, shards={spec.shards},"
+          f" kernel={spec.kernel}, shards={spec.shards},"
           f" symmetry={spec.symmetry}, por={spec.por})")
     if record.error:
         print(f"  error: {record.error}")
@@ -705,7 +675,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             fingerprint=args.fingerprint,
             symmetry=args.symmetry,
             por=args.por,
-            engine=args.engine,
             kernel=args.kernel,
             store=args.store,
             mem_cap=args.mem_cap,
@@ -873,32 +842,21 @@ def build_parser() -> argparse.ArgumentParser:
              " the workers instead of one whole class per worker",
     )
     check.add_argument(
-        "--engine", choices=["scalar", "batch"], default="scalar",
-        help="exploration kernel: scalar (default; the pure-Python"
-             " conformance oracle) or batch (numpy level-batched u64"
-             " arrays, same verdicts at a multiple of the throughput;"
-             " requires numpy).  With --por the batch engine selects"
-             " ample sets level-synchronously (novelty certified"
-             " against the level-boundary visited set plus"
-             " earlier-in-level occurrences — pessimistic, sound):"
-             " same verdicts as scalar+POR, possibly different"
-             " state/transition counts",
-    )
-    check.add_argument(
         "--kernel", choices=["auto", "numpy", "native"], default="auto",
-        help="batch-engine level kernel: auto (default; generated C"
-             " kernel when a C compiler is present, numpy otherwise),"
-             " numpy (force the vectorized oracle), or native (force the"
-             " generated C kernel; degrades to numpy with a warning when"
-             " no compiler is available).  Kernels are bit-identical —"
-             " same states, fingerprints, and verdicts; ignored by"
-             " --engine scalar",
+        help="level kernel of the exploration loop: auto (default;"
+             " generated C kernel when a C compiler is present, numpy"
+             " otherwise), numpy (force the vectorized kernel), or native"
+             " (force the generated C kernel; degrades to numpy with a"
+             " warning when no compiler is available).  Kernels are"
+             " bit-identical — same states, fingerprints, and verdicts",
     )
     check.add_argument(
         "--fingerprint", action="store_true",
-        help="store 64-bit state fingerprints instead of full states"
-             " (~10x less state-store memory; collision probability"
-             " ~n^2/2^65, TLC's trade)",
+        help="key the visited set on 64-bit state fingerprints instead"
+             " of the packed states (collision probability ~n^2/2^65)."
+             "  States for --n 2 and 3 pack into 64 bits or fewer, so the"
+             " key is 8 bytes either way: no memory saving, and an extra"
+             " hashing pass per level",
     )
     check.add_argument(
         "--symmetry", action=argparse.BooleanOptionalAction, default=False,
@@ -934,9 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="visited-set backend: ram (default), mmap (open-addressing"
              " table in a memory-mapped file, fixed --mem-cap), or spill"
              " (bounded RAM buffer + sorted on-disk u64 runs, TLC-style;"
-             " unbounded state counts; membership, inserts, merges and"
-             " checkpoint dumps run on numpy arrays, so spill requires"
-             " numpy)",
+             " unbounded state counts)",
     )
     check.add_argument(
         "--store-dir", default=None, metavar="DIR",
@@ -979,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", default=None, metavar="FILE",
         help="cProfile the exploration loop (only — argument parsing and"
              " reporting are excluded) and dump the stats to FILE for"
-             " pstats/snakeviz; engine-agnostic",
+             " pstats/snakeviz",
     )
     check.set_defaults(handler=_cmd_check)
 
@@ -1109,11 +1065,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--symmetry", action="store_true")
     submit.add_argument("--por", action="store_true")
     submit.add_argument(
-        "--engine", choices=["scalar", "batch"], default="scalar",
-    )
-    submit.add_argument(
         "--kernel", choices=["auto", "numpy", "native"], default="auto",
-        help="batch-engine level kernel on the worker host: auto"
+        help="level kernel on the worker host: auto"
              " (default), numpy, or native (degrades to numpy on"
              " compiler-less workers; bit-identical results)",
     )

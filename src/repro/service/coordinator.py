@@ -584,7 +584,6 @@ class Coordinator:
             "fingerprint": spec.fingerprint,
             "symmetry": spec.symmetry,
             "por": spec.por,
-            "engine": spec.engine,
             "kernel": spec.kernel,
             "store": spec.store,
             "mem_cap": spec.mem_cap,

@@ -1,8 +1,8 @@
 """Periodic progress for long runs: the observability the service streams.
 
-A :class:`Heartbeat` is a tiny duck-typed sink the exploration engines
-tick as they run — once per admitted state in the scalar loops, once
-per level/round in the batch and sharded drivers.  Every ``every_s``
+A :class:`Heartbeat` is a tiny duck-typed sink the exploration loops
+tick as they run — once per level/round in the batch and sharded
+drivers.  Every ``every_s``
 seconds it emits one line::
 
     [heartbeat] t=63s states=1203456 (+90123, 30041/s) frontier=4521 transitions=5602341 rss=87.4MiB

@@ -13,7 +13,7 @@ re-run resume rather than restart).
 Spec validation is strict both ways: unknown keys in a submitted spec
 are refused (a newer client talking to an older coordinator must fail
 loudly, mirroring the checkpoint meta.json contract), and semantic
-invariants (``por`` needs an exhaustive run, engine/store names must
+invariants (``por`` needs an exhaustive run, kernel/store names must
 exist) are checked at submission time so a job can never be accepted
 and then die on a worker with a config error.
 """
@@ -26,12 +26,11 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 #: Job lifecycle states.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
-_ENGINES = ("scalar", "batch")
 _KERNELS = ("auto", "numpy", "native")
 _STORES = ("ram", "mmap", "spill")
 _MACHINES = ("snapshot",)
@@ -54,6 +53,10 @@ class JobSpec:
     loses at most one interval.  ``round_delay_ms`` is a test seam
     (workers sleep that long per round, making mid-run kills
     deterministic in tests); it is clamped to 10 s and defaults to 0.
+    ``engine`` accepts only ``"batch"``, the default: the scalar loop
+    it once selected was removed, and a spec naming it — submitted, or
+    reloaded from a record persisted before the removal — is refused
+    with a :class:`JobError`.
     """
 
     n: int = 2
@@ -61,7 +64,7 @@ class JobSpec:
     fingerprint: bool = False
     symmetry: bool = False
     por: bool = False
-    engine: str = "scalar"
+    engine: str = "batch"
     kernel: str = "auto"
     store: str = "ram"
     mem_cap: int = 0
@@ -80,10 +83,11 @@ class JobSpec:
             raise JobError(f"n={self.n} outside the supported range 1..6")
         if self.budget < 0:
             raise JobError(f"budget must be >= 0 (0 = exhaustive): {self.budget}")
-        if self.engine not in _ENGINES:
+        if self.engine != "batch":
             raise JobError(
-                f"unknown engine {self.engine!r};"
-                f" choose one of {', '.join(_ENGINES)}"
+                f"engine {self.engine!r} is not available: the scalar"
+                " exploration loop was removed and 'batch' is the only"
+                " engine — resubmit without engine or with 'batch'"
             )
         if self.kernel not in _KERNELS:
             raise JobError(
@@ -253,13 +257,27 @@ class JobQueue:
         if not path.exists():
             raise JobError(f"no such job: {job_id}")
         loaded = json.loads(path.read_text())
-        return JobRecord.from_dict(dict(loaded))
+        try:
+            return JobRecord.from_dict(dict(loaded))
+        except JobError as exc:
+            raise JobError(f"{job_id}: {exc}") from None
 
     def list(self) -> List[JobRecord]:
         return [self.get(job_id) for job_id in self._ids()]
 
+    def _loadable(self) -> Iterator[JobRecord]:
+        """Every record :meth:`get` accepts.  One it refuses (a spec
+        persisted before a removal, say) can never run; skipping it
+        keeps the runner alive, and :meth:`get` keeps reporting its
+        :class:`JobError` to clients."""
+        for job_id in self._ids():
+            try:
+                yield self.get(job_id)
+            except JobError:
+                continue
+
     def next_queued(self) -> Optional[JobRecord]:
-        for record in self.list():
+        for record in self._loadable():
             if record.state == "queued":
                 return record
         return None
@@ -269,7 +287,7 @@ class JobQueue:
         put them back in the queue (their checkpoints make this a
         resume, not a restart)."""
         requeued = []
-        for record in self.list():
+        for record in self._loadable():
             if record.state == "running":
                 record.state = "queued"
                 record.started_at = None

@@ -58,9 +58,9 @@ def payload_to_bytes(values: object) -> bytes:
     """Normalize one payload argument to little-endian u64 bytes.
 
     Accepts ``bytes`` (already wire-order), ``array('Q')``, numpy u64
-    arrays (duck-typed so numpy stays a soft dependency), or any
-    iterable of ints — the shapes the scalar and batch shard engines
-    naturally produce.
+    arrays (duck-typed, so this module never imports numpy), or any
+    iterable of ints — the shapes shard rounds, visited-key dumps and
+    checkpoint frontiers naturally produce.
     """
     if isinstance(values, (bytes, bytearray, memoryview)):
         data = bytes(values)

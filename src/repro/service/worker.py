@@ -85,7 +85,6 @@ def _configure(state: _WorkerState, header: Dict[str, Any]) -> Dict[str, Any]:
             symmetry=bool(header.get("symmetry", False)),
             store_config=store_config,
             por=bool(header.get("por", False)),
-            engine=str(header.get("engine", "scalar")),
             kernel=str(header.get("kernel", "auto")),
             store_namespace=f"shard-{shard:03d}-e{epoch:03d}",
         )

@@ -17,8 +17,7 @@ reproduction the same storage layer behind one interface:
 - :class:`SpillStore` — TLC's trade: a bounded in-RAM buffer that
   spills sorted runs to disk, with periodic run merging and a Bloom
   filter short-circuiting lookups of never-seen keys, all on numpy u64
-  arrays (the one backend that needs numpy; it is imported on first
-  use).  RAM stays under ``mem_cap`` however many states the run
+  arrays.  RAM stays under ``mem_cap`` however many states the run
   visits.
 
 All three are exact sets (the Bloom filter only short-circuits
@@ -30,8 +29,6 @@ BFS runs (frontier + visited dump + counters + configuration metadata)
 so a killed exhaustive run resumes exactly where it stopped:
 ``python -m repro check --resume DIR``.
 """
-
-from typing import TYPE_CHECKING, Any
 
 from repro.store.base import (
     DEFAULT_MEM_CAP,
@@ -54,19 +51,7 @@ from repro.store.checkpoint import (
 )
 from repro.store.mmap_table import MmapStore
 from repro.store.ram import RamStore
-
-if TYPE_CHECKING:
-    from repro.store.spill import SpillStore
-
-
-def __getattr__(name: str) -> Any:
-    # The spill store needs numpy; importing it on first use keeps
-    # ``import repro.store`` (ram, mmap, checkpoints) numpy-free.
-    if name == "SpillStore":
-        from repro.store import spill
-
-        return spill.SpillStore
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.store.spill import SpillStore
 
 
 __all__ = [

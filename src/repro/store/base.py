@@ -179,11 +179,10 @@ class FingerprintStore(ABC):
     def contains_many(self, keys: KeyBatch) -> List[bool]:
         """Membership for a whole batch: ``[key in self for key in keys]``.
 
-        The level-batched engine (:mod:`repro.checker.batch`) probes a
+        The level-batched loop (:mod:`repro.checker.batch`) probes a
         whole BFS level in one call.  This default just loops the
-        scalar ``__contains__``, so every backend supports the batch
-        engine from day one; backends with a cheaper bulk structure
-        (the spill store's sorted runs) override it.
+        per-key ``__contains__``; backends with a cheaper bulk
+        structure (the spill store's sorted runs) override it.
         """
         return [key in self for key in as_int_sequence(keys)]
 
@@ -259,6 +258,7 @@ class StoreConfig:
         """Build the configured backend (namespaced under ``shard``)."""
         from repro.store.mmap_table import MmapStore
         from repro.store.ram import RamStore
+        from repro.store.spill import SpillStore
 
         directory = self.resolve_directory(shard)
         if self.backend == "ram":
@@ -266,8 +266,4 @@ class StoreConfig:
         assert directory is not None
         if self.backend == "mmap":
             return MmapStore(directory, mem_cap=self.mem_cap)
-        # Imported here: the spill store is the one backend that needs
-        # numpy.
-        from repro.store.spill import SpillStore
-
         return SpillStore(directory, mem_cap=self.mem_cap)

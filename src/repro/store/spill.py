@@ -23,9 +23,10 @@ call — the delayed duplicate detection of Stern & Dill's disk Murφ:
   :meth:`SpillStore.chunks`) cut the runs at sparse-index quantiles and
   concatenate, sort and emit one key range at a time.
 
-The scalar :meth:`SpillStore.add` and ``in`` (one call per transition
-on the scalar engine, where per-call numpy overhead would dominate)
-probe the same Bloom bits and run files on Python ints instead.
+The scalar :meth:`SpillStore.add` and ``in`` (one call per key — the
+generic explorer's fingerprint mode, where per-call numpy overhead
+would dominate) probe the same Bloom bits and run files on Python ints
+instead.
 
 RAM usage is bounded by construction whatever the number of visited
 states: the buffer holds at most ``buffer_limit`` keys, the Bloom
@@ -37,11 +38,6 @@ bounded gather or key range of run data, never a whole run.
 
 Membership stays *exact*: the Bloom filter only proves absence; any
 "maybe" is resolved against the run files themselves.
-
-The store needs numpy, which this module imports softly: ``import
-repro.store`` does not load it (``SpillStore`` is resolved on first
-use), and building a store without numpy raises a
-:class:`~repro.store.base.StoreError` that names it.
 """
 
 from __future__ import annotations
@@ -63,13 +59,10 @@ from typing import (
     Tuple,
 )
 
-from repro.checker.fingerprint import splitmix64, splitmix64_many
-from repro.store.base import FingerprintStore, KeyBatch, StoreError, require_u64
+import numpy as np
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by stubbing ``np``
-    np = None  # type: ignore[assignment]
+from repro.checker.fingerprint import splitmix64, splitmix64_many
+from repro.store.base import FingerprintStore, KeyBatch, require_u64
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
@@ -95,17 +88,6 @@ _ENTRY_COST = 120
 _GATHER_BLOCKS = 1024
 #: Keys hashed per Bloom pass.
 _BLOOM_CHUNK = 1 << 16
-
-
-def require_numpy() -> None:
-    """Raise a :class:`StoreError` naming numpy unless it is importable."""
-    if np is None:
-        raise StoreError(
-            "the spill store keeps its runs, Bloom filter and bulk"
-            " membership as numpy u64 arrays, but numpy is not installed"
-            " in this environment — install numpy, or use --store ram or"
-            " --store mmap, which need no third-party packages"
-        )
 
 
 def _as_u64(keys: KeyBatch) -> "U64Array":
@@ -227,7 +209,6 @@ class SpillStore(FingerprintStore):
     backend = "spill"
 
     def __init__(self, directory: Path, mem_cap: int) -> None:
-        require_numpy()
         self.directory = Path(directory)
         self.mem_cap = mem_cap
         # RAM envelope: roughly half the cap for the buffer, a fixed
@@ -347,9 +328,9 @@ class SpillStore(FingerprintStore):
 
     # ------------------------------------------------------------------
     def _on_disk(self, key: int) -> bool:
-        """Scalar twin of :meth:`_on_runs` for the scalar engine's one
-        ``add`` per transition, where per-call numpy overhead would
-        dominate; ``disk_probes`` counts one per run consulted."""
+        """Scalar twin of :meth:`_on_runs` for callers that ``add`` one
+        key at a time, where per-call numpy overhead would dominate;
+        ``disk_probes`` counts one per run consulted."""
         if not self._runs:
             return False
         if not self._bloom_maybe_one(key):

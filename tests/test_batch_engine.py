@@ -1,49 +1,60 @@
-"""The level-batched (numpy) exploration kernel vs the scalar oracle.
+"""The level-batched exploration loop vs the generic Explorer oracle.
 
-The batch engine's whole value proposition is "same verdicts, much
-faster", so the load-bearing contract here is *byte-identical
-results*: for every unreduced configuration both engines support,
-``asdict`` of the two :class:`FastExplorationResult` objects must be
-equal — same verdict and violation message, same
-admitted/transition/truncated counts even mid-budget, same
-covered-state totals under symmetry.  Backend-specific counters
-(``store_counters``) are the one documented exception: the engines
-issue different probe patterns against the same visited set.
+:func:`repro.checker.batch.explore_batch` is the one safety loop behind
+``FastSnapshotSpec.explore``, the class sweep, the sharded engine and
+the service.  Its oracle is the generic, object-encoded
+:class:`~repro.checker.explorer.Explorer`, which shares no code with
+it.  The contract, checked for the numpy kernel and for the generated
+native kernel (native cells skip without a C compiler):
 
-POR is the other documented carve-out: the batch engine's
-level-synchronous cycle proviso (C3 against ``visited ∪
-earlier-in-level``) legitimately picks different — equally sound —
-ample sets than the scalar selector's mid-level one, so batch+POR
-conformance is *verdict-level* (same ok/violation/complete, plus the
-``PORCounters`` accounting invariant), not count-identical.
-
-numpy is a soft dependency.  The conformance matrix skips cleanly
-without it; the degradation tests below run regardless (they simulate
-absence by flipping ``HAVE_NUMPY``) and prove every batch entry point
-fails with a clear :class:`BatchEngineUnavailable` instead of a
-traceback.
+- **field-identical** on the unreduced graph: ``states``,
+  ``transitions``, ``truncated_transitions``, ``covered_states``,
+  ``complete`` and ``ok``, exhaustively at N=2 and budget-clipped on
+  every N=3 wiring class;
+- **pinned values** for budget-clipped symmetric runs: a budget trip
+  depends on which orbit representatives were admitted, and the
+  Explorer's ``StateCanonicalizer`` breaks ties in an order that
+  follows the interpreter's hash seed, so it cannot serve as the
+  oracle there (exhaustive symmetric runs do not depend on the
+  choice and stay field-identical);
+- **verdict-level** under POR: the same ok/violation/complete as the
+  unreduced run and as ``Explorer(por=True)``, whose selector picks its
+  own ample sets.
 """
 
 import functools
 import random
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 import repro.checker.batch as batch_mod
+from repro.checker import Explorer, SystemSpec
 from repro.checker import parallel
-from repro.checker.batch import BatchEngineUnavailable
 from repro.checker.fast_snapshot import FastSnapshotSpec, canonical_wiring_classes
 from repro.checker.fingerprint import fingerprint_int, splitmix64
 from repro.checker.parallel import check_snapshot_classes, explore_sharded
+from repro.checker.properties import SNAPSHOT_SAFETY
+from repro.core import SnapshotMachine
+from repro.memory.wiring import WiringAssignment
 from repro.store import StoreConfig
 
-requires_numpy = pytest.mark.skipif(
-    not batch_mod.HAVE_NUMPY, reason="numpy not installed"
+try:
+    from repro.checker.native.loader import native_available
+
+    _native_ok = native_available()
+except Exception:  # pragma: no cover - import error == unavailable
+    _native_ok = False
+
+requires_native = pytest.mark.skipif(
+    not _native_ok, reason="native kernel unavailable (no C compiler)"
 )
 
-if batch_mod.HAVE_NUMPY:
-    import numpy as np
+#: Every oracle cell runs on both level kernels.
+KERNELS = pytest.mark.parametrize(
+    "kernel", ["numpy", pytest.param("native", marks=requires_native)]
+)
 
 #: Both N=2 wiring classes (canonical representatives).
 N2_CLASSES = [((0, 1), (0, 1)), ((0, 1), (1, 0))]
@@ -51,16 +62,115 @@ N2_CLASSES = [((0, 1), (0, 1)), ((0, 1), (1, 0))]
 #: One N=3 class for budgeted multi-level coverage.
 N3_CLASS = ((0, 1, 2), (0, 1, 2), (1, 2, 0))
 
+#: All ten N=3 wiring classes.
+N3_CLASSES = canonical_wiring_classes(3, 3)
+
+#: The fields the Explorer oracle and the batch loop must agree on.
+FIELDS = (
+    "states", "transitions", "truncated_transitions", "covered_states",
+    "complete", "ok",
+)
+
+#: Budget-clipped symmetric runs, pinned as ``(transitions,
+#: truncated_transitions, covered_states)`` per budget; each such run
+#: admits exactly its budget and ends incomplete and ok.  A budget trip
+#: depends on which orbit representatives were admitted, and the
+#: Explorer's ``StateCanonicalizer`` breaks ties in an order that
+#: follows the interpreter's hash seed, so its budget-clipped symmetric
+#: counts change from run to run.  These values come from the packed
+#: explorer, on which the batch loop and the per-state loop it replaced
+#: agreed in every cell.
+N3_SYMMETRIC_BUDGETS = (1, 7, 333, 2000)
+PINNED_N3_SYMMETRIC = {
+    ((0, 1, 2), (0, 1, 2), (0, 1, 2)): (
+        (9, 9, 1), (16, 2, 25), (578, 1, 1906), (3620, 2, 11797)),
+    ((0, 1, 2), (0, 1, 2), (0, 2, 1)): (
+        (9, 9, 1), (16, 7, 10), (555, 2, 646), (3428, 3, 3959)),
+    ((0, 1, 2), (0, 1, 2), (1, 0, 2)): (
+        (9, 9, 1), (16, 7, 10), (555, 2, 646), (3421, 1, 3959)),
+    ((0, 1, 2), (0, 1, 2), (1, 2, 0)): (
+        (9, 9, 1), (16, 7, 10), (555, 2, 646), (3450, 1, 3959)),
+    ((0, 1, 2), (0, 1, 2), (2, 0, 1)): (
+        (9, 9, 1), (16, 7, 10), (555, 2, 646), (3450, 1, 3959)),
+    ((0, 1, 2), (0, 1, 2), (2, 1, 0)): (
+        (9, 9, 1), (16, 7, 10), (555, 2, 646), (3467, 1, 3959)),
+    ((0, 1, 2), (0, 2, 1), (1, 0, 2)): (
+        (9, 9, 1), (9, 3, 7), (503, 1, 333), (3298, 1, 2000)),
+    ((0, 1, 2), (0, 2, 1), (1, 2, 0)): (
+        (9, 9, 1), (9, 3, 7), (503, 1, 333), (3299, 1, 2000)),
+    ((0, 1, 2), (1, 0, 2), (2, 0, 1)): (
+        (9, 9, 1), (9, 3, 7), (503, 1, 333), (3314, 3, 2000)),
+    ((0, 1, 2), (1, 2, 0), (2, 0, 1)): (
+        (9, 9, 1), (16, 3, 19), (544, 2, 991), (3453, 2, 5986)),
+}
+N2_BUDGETS = (1, 2, 7, 50, 500)
+#: The same, for ``N2_CLASSES[1]``.
+PINNED_N2_SYMMETRIC = (
+    (4, 4, 1), (4, 2, 3), (10, 2, 12), (69, 1, 95), (812, 1, 987),
+)
+
+
+def _pinned(budget, counts):
+    return (budget,) + tuple(counts) + (False, True)
+
+
+#: The engine name whose loop was removed; every entry point refuses it.
+REMOVED_ENGINE = "scalar"
+
+
 _SEEDED_MESSAGE = "seeded violation: a processor terminated"
+
+
+def _fields(result):
+    return tuple(getattr(result, name) for name in FIELDS)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(wiring, level_target=None, **kwargs):
+    """The generic Explorer's FIELDS for one configuration."""
+    n = len(wiring)
+    spec = SystemSpec(
+        SnapshotMachine(n, level_target=level_target),
+        list(range(1, n + 1)),
+        WiringAssignment.from_permutations(wiring),
+    )
+    return _fields(Explorer(spec, SNAPSHOT_SAFETY, **kwargs).run())
+
+
+def _batch(wiring, kernel="numpy", level_target=None, **kwargs):
+    n = len(wiring)
+    return FastSnapshotSpec(
+        list(range(1, n + 1)), wiring, level_target=level_target
+    ).explore(kernel=kernel, **kwargs)
+
+
+def _verdict(result):
+    """The POR-conformance projection: verdict fields only."""
+    if not isinstance(result, dict):
+        result = asdict(result)
+    return (
+        result["violation"] is None,
+        result["violation"],
+        result["complete"],
+    )
+
+
+def _assert_por_accounting(result):
+    """Every expanded state is either ample or fully expanded."""
+    counters = result.por_counters
+    assert counters is not None
+    assert (
+        counters["ample_states"] + counters["fully_expanded_states"]
+        == result.states
+    )
 
 
 def _seed_violation(monkeypatch):
     """Flag any state with a DONE processor (snapshot is actually safe).
 
-    Patching the *class* before the batch module's vectorized check
-    runs exercises the stock-check identity guard: the batch engine
-    must notice ``check_outputs`` was overridden and fall back to the
-    per-state scalar call, or the seeded fault would be invisible to
+    Patching the *class* exercises the stock-check identity guard: the
+    batch loop must notice ``check_outputs`` was overridden and fall
+    back to per-state calls, or the seeded fault would be invisible to
     its vectorized mask.
     """
     original = FastSnapshotSpec.check_outputs
@@ -75,49 +185,19 @@ def _seed_violation(monkeypatch):
     monkeypatch.setattr(FastSnapshotSpec, "check_outputs", seeded)
 
 
-def _both(wiring, inputs=(1, 2), **kwargs):
-    """(scalar result, batch result) as dicts, for equality asserts."""
-    scalar = FastSnapshotSpec(list(inputs), wiring).explore(
-        engine="scalar", **kwargs
-    )
-    batch = FastSnapshotSpec(list(inputs), wiring).explore(
-        engine="batch", **kwargs
-    )
-    return asdict(scalar), asdict(batch)
-
-
-def _verdict(result):
-    """The POR-conformance projection: verdict fields only.
-
-    Works on results and their ``asdict`` forms alike.  Under POR the
-    two engines' C3 oracles legitimately pick different ample sets, so
-    state/transition counts are not comparable — only verdicts are.
-    """
-    if not isinstance(result, dict):
-        result = asdict(result)
-    return (
-        result["violation"] is None,
-        result["violation"],
-        result["complete"],
-    )
-
-
-def _assert_por_accounting(batch_dict):
-    """The batch selector must keep the scalar counters' invariant."""
-    counters = batch_dict["por_counters"]
-    assert counters is not None
-    assert (
-        counters["ample_states"] + counters["fully_expanded_states"]
-        == batch_dict["states"]
-    )
+def _seeded_generic(spec, state):
+    """The same seeded fault on the generic machine."""
+    for local in state.locals:
+        if spec.machine.output(local) is not None:
+            return _SEEDED_MESSAGE
+    return None
 
 
 # ----------------------------------------------------------------------
-# Satellite: batched splitmix64 === scalar splitmix64 (shared constants)
+# Batched splitmix64 === per-int splitmix64 (shared constants)
 # ----------------------------------------------------------------------
 
 
-@requires_numpy
 class TestFingerprintParity:
     def test_splitmix_agrees_on_random_u64s_and_edges(self):
         rng = random.Random(0xE15)
@@ -141,146 +221,253 @@ class TestFingerprintParity:
         import repro.checker.constants as constants
         import repro.checker.fingerprint as fingerprint
 
-        # Not merely equal values: the scalar module must re-export the
+        # Not merely equal values: the per-int module must re-export the
         # shared constants, so a future edit cannot desynchronize them.
         assert fingerprint.SPLITMIX_GAMMA is constants.SPLITMIX_GAMMA
         assert fingerprint.MASK64 is constants.MASK64
 
 
 # ----------------------------------------------------------------------
-# Tentpole: serial conformance — the scalar engine is the oracle
+# Field identity with the Explorer oracle
 # ----------------------------------------------------------------------
 
 
-@requires_numpy
-class TestSerialConformance:
+class TestExplorerOracle:
+    @KERNELS
     @pytest.mark.parametrize("wiring", N2_CLASSES)
     @pytest.mark.parametrize("symmetry", [False, True])
-    @pytest.mark.parametrize("por", [False, True])
-    def test_exhaustive_n2_matrix(self, wiring, symmetry, por):
-        scalar, batch = _both(wiring, symmetry=symmetry, por=por)
-        if por:
-            # Verdict-level conformance: the level-synchronous C3
-            # oracle legitimately picks different ample sets (see
-            # module docstring); both reductions must stay sound.
-            unreduced, _ = _both(wiring, symmetry=symmetry)
-            assert _verdict(scalar) == _verdict(batch) == _verdict(unreduced)
-            _assert_por_accounting(batch)
-            assert batch["por_counters"]["transitions_pruned"] > 0
-            assert batch["transitions"] < unreduced["transitions"]
-        else:
-            assert scalar == batch
+    @pytest.mark.parametrize("level_target", [None, 1])
+    def test_exhaustive_n2(self, wiring, symmetry, level_target, kernel):
+        result = _batch(
+            wiring, kernel, level_target=level_target, symmetry=symmetry
+        )
+        assert result.complete and result.ok
+        assert _fields(result) == _oracle(
+            wiring, level_target=level_target, symmetry=symmetry
+        )
 
-    @pytest.mark.parametrize("fingerprint", [False, True])
+    @KERNELS
     @pytest.mark.parametrize("symmetry", [False, True])
-    @pytest.mark.parametrize("por", [False, True])
-    def test_exhaustive_n2_fingerprint(self, fingerprint, symmetry, por):
-        scalar, batch = _both(
-            N2_CLASSES[1], fingerprint=fingerprint, symmetry=symmetry,
-            por=por,
+    def test_exhaustive_n2_fingerprint(self, symmetry, kernel):
+        result = _batch(
+            N2_CLASSES[1], kernel, fingerprint=True, symmetry=symmetry
         )
-        if por:
-            assert _verdict(scalar) == _verdict(batch)
-            _assert_por_accounting(batch)
-        else:
-            assert scalar == batch
+        assert _fields(result) == _oracle(N2_CLASSES[1], symmetry=symmetry)
 
-    def test_batch_por_cycle_proviso_seam(self):
-        # The snapshot machine's reachable graph is a DAG, so disabling
-        # C3 must not change the verdict — it only removes proviso
-        # blocks (the livelock regression that *needs* C3 lives in
-        # tests/test_por.py on the generic engine).
-        spec = FastSnapshotSpec([1, 2], N2_CLASSES[1])
-        guarded = spec.explore(engine="batch", por=True)
-        unguarded = spec.explore(
-            engine="batch", por=True, por_cycle_proviso=False
+    @KERNELS
+    @pytest.mark.parametrize("budget", N2_BUDGETS)
+    def test_budget_clipped_n2(self, budget, kernel):
+        # Mid-level budget trips are where a level loop most easily
+        # diverges from a FIFO BFS: the truncated-transition count
+        # depends on *where* inside a level the (B+1)-th fresh state
+        # appeared.
+        result = _batch(N2_CLASSES[1], kernel, max_states=budget)
+        assert _fields(result) == _oracle(N2_CLASSES[1], max_states=budget)
+
+    @KERNELS
+    @pytest.mark.parametrize(
+        "budget, counts", zip(N2_BUDGETS, PINNED_N2_SYMMETRIC)
+    )
+    def test_budget_clipped_n2_symmetric(self, budget, counts, kernel):
+        result = _batch(
+            N2_CLASSES[1], kernel, max_states=budget, symmetry=True
         )
-        assert _verdict(guarded) == _verdict(unguarded)
-        assert unguarded.por_counters["cycle_proviso_expansions"] == 0
+        assert _fields(result) == _pinned(budget, counts)
 
-    @pytest.mark.parametrize("budget", [1, 2, 7, 50, 500])
-    @pytest.mark.parametrize("symmetry", [False, True])
-    def test_budget_clipped_counts_match_exactly(self, budget, symmetry):
-        # Mid-level budget trips are where the two loops most easily
-        # diverge: the truncated-transition count depends on *where*
-        # inside a level the (B+1)-th fresh state appeared.
-        scalar, batch = _both(
-            N2_CLASSES[1], max_states=budget, symmetry=symmetry
+    @KERNELS
+    @pytest.mark.parametrize("budget", [1, 7, 333, 2000])
+    @pytest.mark.parametrize("wiring", N3_CLASSES, ids=str)
+    def test_budgeted_n3(self, wiring, budget, kernel):
+        result = _batch(wiring, kernel, max_states=budget)
+        assert not result.complete
+        assert _fields(result) == _oracle(wiring, max_states=budget)
+
+    @KERNELS
+    @pytest.mark.parametrize("index", range(len(N3_SYMMETRIC_BUDGETS)))
+    @pytest.mark.parametrize("wiring", N3_CLASSES, ids=str)
+    def test_budgeted_n3_symmetric_pinned(self, wiring, index, kernel):
+        budget = N3_SYMMETRIC_BUDGETS[index]
+        result = _batch(wiring, kernel, max_states=budget, symmetry=True)
+        assert _fields(result) == _pinned(
+            budget, PINNED_N3_SYMMETRIC[wiring][index]
         )
-        assert scalar == batch
 
-    def test_budgeted_n3_multi_level(self):
-        scalar, batch = _both(
-            N3_CLASS, inputs=(1, 2, 3), max_states=3_000, fingerprint=True
-        )
-        assert scalar == batch
+    def test_budgeted_n3_fingerprint_multi_level(self):
+        result = _batch(N3_CLASS, max_states=3_000, fingerprint=True)
+        assert _fields(result) == _oracle(N3_CLASS, max_states=3_000)
 
-    def test_seeded_violation_matches_and_defeats_vectorized_mask(
-        self, monkeypatch
-    ):
+    def test_class_sweep_matches_per_class(self):
+        rows = check_snapshot_classes(2, jobs=2)
+        assert [wiring for wiring, _ in rows] == N2_CLASSES
+        for wiring, result in rows:
+            assert _fields(result) == _oracle(wiring)
+
+    def test_seeded_violation_defeats_vectorized_mask(self, monkeypatch):
         _seed_violation(monkeypatch)
-        scalar, batch = _both(N2_CLASSES[1])
-        assert scalar == batch
-        assert batch["violation"] == _SEEDED_MESSAGE
-        assert not batch["complete"] or batch["violation"] is not None
+        result = _batch(N2_CLASSES[1])
+        spec = SystemSpec(
+            SnapshotMachine(2), [1, 2],
+            WiringAssignment.from_permutations(N2_CLASSES[1]),
+        )
+        oracle = Explorer(spec, (_seeded_generic,)).run()
+        assert result.violation == oracle.violation.message == _SEEDED_MESSAGE
+        # The Explorer stops mid-buffer; the level loop counts the
+        # violating parent's whole buffer, so transitions may differ.
+        assert (result.states, result.complete) == (
+            oracle.states, oracle.complete
+        )
 
-    def test_seeded_violation_after_batch_import(self, monkeypatch):
+    def test_seeded_violation_under_symmetry(self, monkeypatch):
         # Patch order must not matter: importing batch first, then
         # patching, then exploring still sees the seeded fault.
-        import repro.checker.batch  # noqa: F401  (already imported)
-
         _seed_violation(monkeypatch)
-        scalar, batch = _both(N2_CLASSES[0], symmetry=True)
-        assert scalar == batch
-        assert batch["violation"] == _SEEDED_MESSAGE
+        result = _batch(N2_CLASSES[0], symmetry=True)
+        assert result.violation == _SEEDED_MESSAGE
 
-    def test_unknown_engine_rejected(self):
+    def test_removed_engine_rejected(self):
         spec = FastSnapshotSpec([1, 2], N2_CLASSES[0])
-        with pytest.raises(ValueError, match="unknown engine"):
-            spec.explore(engine="simd")
+        with pytest.raises(ValueError, match="scalar exploration loop was removed"):
+            spec.explore(engine=REMOVED_ENGINE)
+        assert _fields(spec.explore(engine="batch")) == _fields(spec.explore())
 
-    def test_wait_freedom_refused_on_batch(self):
-        spec = FastSnapshotSpec([1, 2], N2_CLASSES[0])
-        with pytest.raises(ValueError, match="edge"):
-            spec.explore(engine="batch", check_wait_freedom=True)
+    def test_removed_engine_rejected_by_class_sweep(self):
+        with pytest.raises(ValueError, match="loop was removed"):
+            check_snapshot_classes(2, engine=REMOVED_ENGINE)
+
+    def test_wide_states_refused(self):
+        spec = FastSnapshotSpec([1, 2, 3, 4], [(0, 1, 2, 3)] * 4)
+        assert spec.state_bits > 64
+        with pytest.raises(ValueError, match="u64"):
+            spec.explore(max_states=10)
 
 
-@requires_numpy
+# ----------------------------------------------------------------------
+# POR: verdict-level against the unreduced run and Explorer(por=True)
+# ----------------------------------------------------------------------
+
+
+class TestPorVerdicts:
+    @KERNELS
+    @pytest.mark.parametrize("wiring", N2_CLASSES)
+    @pytest.mark.parametrize("symmetry", [False, True])
+    def test_exhaustive_n2(self, wiring, symmetry, kernel):
+        reduced = _batch(wiring, kernel, por=True, symmetry=symmetry)
+        unreduced = _batch(wiring, kernel, symmetry=symmetry)
+        oracle = _oracle(wiring, por=True, symmetry=symmetry)
+        assert _verdict(reduced) == _verdict(unreduced)
+        assert (reduced.ok, reduced.complete) == (oracle[-1], oracle[-2])
+        _assert_por_accounting(reduced)
+        assert reduced.por_counters["transitions_pruned"] > 0
+        assert reduced.transitions < unreduced.transitions
+
+    @pytest.mark.parametrize("symmetry", [False, True])
+    def test_fingerprint_composes(self, symmetry):
+        reduced = _batch(
+            N2_CLASSES[1], por=True, fingerprint=True, symmetry=symmetry
+        )
+        plain = _batch(N2_CLASSES[1], por=True, symmetry=symmetry)
+        assert asdict(reduced) == asdict(plain)
+
+
+# ----------------------------------------------------------------------
+# Passes: a BFS level larger than _LEVEL_CHUNK runs in several passes
+# ----------------------------------------------------------------------
+
+
+class TestChunkedPasses:
+    @pytest.fixture(autouse=True)
+    def tiny_passes(self, monkeypatch):
+        # Every level of these runs spans several passes.
+        monkeypatch.setattr(batch_mod, "_LEVEL_CHUNK", 5)
+
+    @pytest.mark.parametrize("chunk", [1, 5])
+    @pytest.mark.parametrize("symmetry", [False, True])
+    def test_exhaustive_n2_matches_explorer(
+        self, symmetry, chunk, monkeypatch
+    ):
+        # One-state passes also hit passes whose states are all
+        # terminal, which must not end the run.
+        monkeypatch.setattr(batch_mod, "_LEVEL_CHUNK", chunk)
+        result = _batch(N2_CLASSES[1], symmetry=symmetry)
+        assert _fields(result) == _oracle(N2_CLASSES[1], symmetry=symmetry)
+
+    @pytest.mark.parametrize("index", range(len(N3_SYMMETRIC_BUDGETS)))
+    def test_budget_trips_unchanged(self, index):
+        wiring = N3_CLASSES[0]
+        budget = N3_SYMMETRIC_BUDGETS[index]
+        assert _fields(_batch(wiring, max_states=budget)) == _oracle(
+            wiring, max_states=budget
+        )
+        assert _fields(
+            _batch(wiring, max_states=budget, symmetry=True)
+        ) == _pinned(budget, PINNED_N3_SYMMETRIC[wiring][index])
+
+    def test_seeded_violation_unchanged(self, monkeypatch):
+        _seed_violation(monkeypatch)
+        chunked = asdict(_batch(N2_CLASSES[1]))
+        monkeypatch.setattr(batch_mod, "_LEVEL_CHUNK", 1 << 18)
+        assert chunked == asdict(_batch(N2_CLASSES[1]))
+
+    def test_spill_store_and_checkpoints_unchanged(self, tmp_path):
+        from repro.store.checkpoint import RunCheckpointer
+
+        result = _batch(
+            N3_CLASS, max_states=3_000, fingerprint=True,
+            store=StoreConfig(backend="spill", directory=str(tmp_path)),
+            checkpointer=RunCheckpointer(tmp_path / "ckpt", {}, every=500),
+        )
+        assert _fields(result) == _oracle(N3_CLASS, max_states=3_000)
+
+    @pytest.mark.parametrize("symmetry", [False, True])
+    def test_por_verdict_conformant(self, symmetry):
+        reduced = _batch(N2_CLASSES[1], por=True, symmetry=symmetry)
+        assert _verdict(reduced) == _verdict(
+            _batch(N2_CLASSES[1], symmetry=symmetry)
+        )
+        _assert_por_accounting(reduced)
+        assert reduced.por_counters["transitions_pruned"] > 0
+
+
+# ----------------------------------------------------------------------
+# Store backends: every backend reports the RAM run's results
+# ----------------------------------------------------------------------
+
+
 class TestStoreConformance:
     @pytest.mark.parametrize("backend", ["ram", "mmap", "spill"])
     @pytest.mark.parametrize("symmetry", [False, True])
     @pytest.mark.parametrize("por", [False, True])
-    def test_backends_match_scalar(self, backend, symmetry, por, tmp_path):
-        def run(engine, sub):
-            return FastSnapshotSpec([1, 2], N2_CLASSES[1]).explore(
-                engine=engine, fingerprint=True, symmetry=symmetry,
-                por=por,
-                store=StoreConfig(
-                    backend=backend, directory=str(tmp_path / sub)
-                ),
-            )
-
-        scalar = asdict(run("scalar", "scalar"))
-        batch = asdict(run("batch", "batch"))
-        if por:
-            assert _verdict(scalar) == _verdict(batch)
-            _assert_por_accounting(batch)
-            return
-        # The engines probe the same visited set with different call
-        # patterns (scalar add/contains vs one bulk call per level), so
-        # operation counters legitimately differ; everything else must
-        # not.
-        scalar.pop("store_counters")
-        batch.pop("store_counters")
-        assert scalar == batch
+    def test_backends_match_default(self, backend, symmetry, por, tmp_path):
+        kwargs = dict(fingerprint=True, symmetry=symmetry, por=por)
+        stored = asdict(_batch(
+            N2_CLASSES[1],
+            store=StoreConfig(backend=backend, directory=str(tmp_path)),
+            **kwargs,
+        ))
+        default = asdict(_batch(N2_CLASSES[1], **kwargs))
+        # Only the explicit backend reports operation counters.
+        assert stored.pop("store_counters") is not None
+        assert default.pop("store_counters") is None
+        assert stored == default
 
 
 # ----------------------------------------------------------------------
-# Tentpole: sharded conformance (whole levels across the wire)
+# Sharded conformance (whole levels across the wire)
 # ----------------------------------------------------------------------
 
 
-@requires_numpy
+#: ``explore_sharded([1, 2, 3], N3_CLASS, jobs=2, max_states=2_000)``:
+#: the budget truncates at a BFS-layer boundary of the 2-shard
+#: partition, so its counts are the sharded engine's own.
+PINNED_SHARDED_N3 = {
+    "states": 3577, "transitions": 13599, "complete": False,
+    "violation": None, "bad_lasso_pid": None,
+    "truncated_transitions": 7509, "covered_states": None,
+    "symmetry_group_order": None, "recanonicalizations_skipped": None,
+    "store_counters": None, "por_counters": None,
+}
+
+
 class TestShardedConformance:
     @pytest.fixture(autouse=True)
     def force_two_workers(self, monkeypatch):
@@ -292,54 +479,36 @@ class TestShardedConformance:
 
     @pytest.mark.parametrize("symmetry", [False, True])
     @pytest.mark.parametrize("fingerprint", [False, True])
-    def test_exhaustive_n2_matches_scalar_workers(self, symmetry, fingerprint):
-        kwargs = dict(jobs=2, symmetry=symmetry, fingerprint=fingerprint)
-        scalar = explore_sharded(
-            [1, 2], N2_CLASSES[1], engine="scalar", **kwargs
+    def test_exhaustive_n2_matches_explorer(self, symmetry, fingerprint):
+        result = explore_sharded(
+            [1, 2], N2_CLASSES[1], jobs=2, symmetry=symmetry,
+            fingerprint=fingerprint,
         )
-        batch = explore_sharded([1, 2], N2_CLASSES[1], engine="batch", **kwargs)
-        assert asdict(scalar) == asdict(batch)
+        assert _fields(result) == _oracle(N2_CLASSES[1], symmetry=symmetry)
 
-    def test_budgeted_n3_matches_scalar_workers(self):
-        scalar = explore_sharded(
-            [1, 2, 3], N3_CLASS, jobs=2, max_states=2_000, engine="scalar"
+    def test_budgeted_n3_pinned(self):
+        result = explore_sharded(
+            [1, 2, 3], N3_CLASS, jobs=2, max_states=2_000
         )
-        batch = explore_sharded(
-            [1, 2, 3], N3_CLASS, jobs=2, max_states=2_000, engine="batch"
-        )
-        assert asdict(scalar) == asdict(batch)
+        assert asdict(result) == PINNED_SHARDED_N3
 
     @pytest.mark.parametrize("symmetry", [False, True])
-    def test_por_batch_workers_verdict_conformant(self, symmetry):
-        scalar = explore_sharded(
+    def test_por_verdict_conformant(self, symmetry):
+        sharded = explore_sharded(
             [1, 2], N2_CLASSES[1], jobs=2, por=True, symmetry=symmetry,
-            engine="scalar",
         )
-        batch = explore_sharded(
-            [1, 2], N2_CLASSES[1], jobs=2, por=True, symmetry=symmetry,
-            engine="batch",
-        )
-        # Workers run the level-synchronous selector, which certifies
-        # novelty against a smaller snapshot than the scalar selector's
-        # mid-level visited set: verdicts must agree, counts may not.
-        assert _verdict(scalar) == _verdict(batch)
-        assert batch.por_counters is not None
-        assert batch.por_counters["transitions_pruned"] > 0
-        _assert_por_accounting(asdict(batch))
-
-    def test_class_sweep_matches_scalar(self):
-        scalar = check_snapshot_classes(2, jobs=2, engine="scalar")
-        batch = check_snapshot_classes(2, jobs=2, engine="batch")
-        assert len(scalar) == len(batch)
-        for (w_scalar, r_scalar), (w_batch, r_batch) in zip(scalar, batch):
-            assert w_scalar == w_batch
-            assert asdict(r_scalar) == asdict(r_batch)
+        unreduced = _batch(N2_CLASSES[1], symmetry=symmetry)
+        # Workers certify novelty only for locally owned keys: verdicts
+        # must agree with the unreduced run, counts may not.
+        assert _verdict(sharded) == _verdict(unreduced)
+        assert sharded.por_counters["transitions_pruned"] > 0
+        _assert_por_accounting(sharded)
 
     def test_checkpoint_interrupt_resume_roundtrip(self, tmp_path):
         from repro.store.checkpoint import RunCheckpointer
 
         meta = {"n": 3, "engine_test": "batch"}
-        kwargs = dict(jobs=2, max_states=3_000, engine="batch")
+        kwargs = dict(jobs=2, max_states=3_000)
         uninterrupted = explore_sharded([1, 2, 3], N3_CLASS, **kwargs)
         fired = []
 
@@ -362,48 +531,21 @@ class TestShardedConformance:
 
 
 # ----------------------------------------------------------------------
-# Budget-trip accounting on the symmetric path.  The batch engine keeps
-# no raw-successor memo; the scalar symmetric loop's cache only shows
-# in how a trip window counts a repeated raw successor.
+# Budget-trip accounting
 # ----------------------------------------------------------------------
 
-#: All ten N=3 wiring classes.
-N3_CLASSES = canonical_wiring_classes(3, 3)
 
-try:
-    from repro.checker.native.loader import native_available
+def _replay_trip(buffers, key_of, visited, budget):
+    """A FIFO BFS's admission rule over one level (the Explorer's).
 
-    _native_ok = batch_mod.HAVE_NUMPY and native_available()
-except Exception:  # pragma: no cover - import error == unavailable
-    _native_ok = False
-
-requires_native = pytest.mark.skipif(
-    not _native_ok, reason="native kernel unavailable (no numpy/compiler)"
-)
-
-
-@functools.lru_cache(maxsize=None)
-def _scalar_symmetric(wiring, budget):
-    return asdict(FastSnapshotSpec([1, 2, 3], wiring).explore(
-        engine="scalar", symmetry=True, max_states=budget
-    ))
-
-
-def _replay_trip(buffers, key_of, visited, budget, raw_cache):
-    """The scalar symmetric loop's admission rule over one level.
-
-    Returns the truncated-transition count; ``raw_cache`` skips a raw
-    successor met before, as the scalar loop's cache does.
+    Returns the truncated-transition count: every generated transition
+    whose fresh target the budget turned away, through the end of the
+    tripping parent's buffer.
     """
     seen = set(visited)
-    raw_seen = set()
     admitted = truncated = 0
     for buffer in buffers:
         for raw in buffer:
-            if raw_cache:
-                if raw in raw_seen:
-                    continue
-                raw_seen.add(raw)
             key = key_of(raw)
             if key in seen:
                 continue
@@ -417,21 +559,17 @@ def _replay_trip(buffers, key_of, visited, budget, raw_cache):
     return truncated
 
 
-@requires_numpy
-class TestSymmetricTripAccounting:
-    def test_window_duplicate_counts_once(self):
+class TestTripAccounting:
+    def test_window_counts_every_dropped_transition(self):
         # Three parents; key = raw // 10 stands in for canonicalization
         # (10 and 11 share an orbit).  Key 2 is already visited and the
         # budget admits two fresh keys (1, then 3), so the trip is at
         # raw 40 and the window is the rest of parent 1's buffer:
-        # [40, 30, 50, 40].  Raw 40 repeats inside the window; raw 30
-        # was met before the trip and its key was admitted.
+        # [40, 30, 50, 40].  Raw 40 repeats inside the window and
+        # counts twice; raw 30 was admitted before the trip.
         buffers = [[10, 20, 11], [30, 40, 30, 50, 40], [60, 21, 70]]
         visited = {2}
         budget = 2
-
-        def key_of(raw):
-            return raw // 10
 
         successors = np.array(
             [raw for buffer in buffers for raw in buffer], dtype=np.uint64
@@ -446,125 +584,29 @@ class TestSymmetricTripAccounting:
         assert (trip, buffer_end) == (4, 8)
         unadmitted = fresh & (first >= trip)
 
-        def count(distinct_raw):
-            return batch_mod._trip_truncations(
-                successors, keys, unique_keys, unadmitted,
-                trip, buffer_end, distinct_raw,
-            )
-
-        with_cache = _replay_trip(buffers, key_of, visited, budget, True)
-        without_cache = _replay_trip(buffers, key_of, visited, budget, False)
-        assert (with_cache, without_cache) == (2, 3)
-        assert count(distinct_raw=True) == with_cache
-        assert count(distinct_raw=False) == without_cache
-
-    @pytest.mark.parametrize(
-        "symmetry, fingerprint, backend, distinct_raw",
-        [
-            (True, False, None, True),
-            (True, False, "ram", True),
-            (True, False, "spill", False),
-            (True, True, None, False),
-            (False, False, None, False),
-        ],
-    )
-    def test_window_dedup_only_where_the_scalar_loop_caches(
-        self, monkeypatch, tmp_path, symmetry, fingerprint, backend,
-        distinct_raw,
-    ):
-        # The scalar loop's raw-successor cache exists only in
-        # symmetric, RAM-backed, non-fingerprint runs.
-        seen = []
-        real = batch_mod._trip_truncations
-
-        def spy(*args):
-            seen.append(args[-1])
-            return real(*args)
-
-        monkeypatch.setattr(batch_mod, "_trip_truncations", spy)
-        store = None
-        if backend is not None:
-            store = StoreConfig(backend=backend, directory=str(tmp_path))
-        FastSnapshotSpec([1, 2, 3], N3_CLASS).explore(
-            engine="batch", symmetry=symmetry, fingerprint=fingerprint,
-            store=store, max_states=333,
-        )
-        assert seen == [distinct_raw]
-
-    @pytest.mark.parametrize(
-        "kernel", ["numpy", pytest.param("native", marks=requires_native)]
-    )
-    @pytest.mark.parametrize("budget", [1, 7, 333, 2000])
-    @pytest.mark.parametrize("wiring", N3_CLASSES, ids=str)
-    def test_n3_symmetric_trips_match_scalar(self, wiring, budget, kernel):
-        batch = asdict(FastSnapshotSpec([1, 2, 3], wiring).explore(
-            engine="batch", kernel=kernel, symmetry=True, max_states=budget
-        ))
-        assert batch == _scalar_symmetric(wiring, budget)
-        assert not batch["complete"]
+        expected = _replay_trip(buffers, lambda raw: raw // 10, visited, budget)
+        assert expected == 3
+        assert batch_mod._trip_truncations(
+            keys, unique_keys, unadmitted, trip, buffer_end
+        ) == expected
 
 
 # ----------------------------------------------------------------------
-# Graceful degradation without numpy (runs with numpy installed too —
-# absence is simulated by flipping HAVE_NUMPY)
+# CLI: one exploration loop, no engine choice
 # ----------------------------------------------------------------------
 
 
-class TestWithoutNumpy:
-    @pytest.fixture(autouse=True)
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
-
-    def test_require_numpy_raises_with_guidance(self):
-        with pytest.raises(BatchEngineUnavailable, match="--engine scalar"):
-            batch_mod.require_numpy()
-
-    def test_explore_batch_refused(self):
-        spec = FastSnapshotSpec([1, 2], N2_CLASSES[0])
-        with pytest.raises(BatchEngineUnavailable):
-            spec.explore(engine="batch")
-
-    def test_explore_sharded_batch_refused(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel, "effective_jobs", lambda requested: requested
-        )
-        with pytest.raises(BatchEngineUnavailable):
-            explore_sharded([1, 2], N2_CLASSES[0], jobs=2, engine="batch")
-
-    def test_scalar_engine_unaffected(self):
-        result = FastSnapshotSpec([1, 2], N2_CLASSES[0]).explore()
-        assert result.ok and result.states == 7235
-
-    def test_cli_exits_2_with_message(self, capsys):
+class TestCli:
+    def test_engine_flag_is_gone(self, capsys):
         from repro.cli import main
 
-        assert main(["check", "--n", "2", "--engine", "batch"]) == 2
-        out = capsys.readouterr().out
-        assert "numpy is not installed" in out
-
-
-# ----------------------------------------------------------------------
-# CLI happy path
-# ----------------------------------------------------------------------
-
-
-@requires_numpy
-class TestCliBatchEngine:
-    def test_check_n2_engine_batch_runs_class_sweep(self, capsys):
-        from repro.cli import main
-
-        assert main(["check", "--n", "2", "--engine", "batch"]) == 0
-        out = capsys.readouterr().out
-        # the batch engine triggers the fast class sweep on top of the
-        # full-edge liveness pass
-        assert "class sweep" in out
-        assert out.count("7235 states") >= 2
-
-    def test_unknown_engine_rejected_by_argparse(self):
-        from repro.cli import main
-
+        for command in ("check", "submit"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--help"])
+            assert exit_info.value.code == 0
+            assert "--engine" not in capsys.readouterr().out
         with pytest.raises(SystemExit):
-            main(["check", "--n", "2", "--engine", "simd"])
+            main(["check", "--n", "2", "--engine", "batch"])
 
 
 # ----------------------------------------------------------------------
@@ -573,7 +615,6 @@ class TestCliBatchEngine:
 # ----------------------------------------------------------------------
 
 
-@requires_numpy
 class TestUniqueFirstSortedPath:
     def test_sorted_input_skips_the_sort_and_matches_the_oracle(
         self, monkeypatch
@@ -616,7 +657,7 @@ class TestUniqueFirstSortedPath:
         # every admitted/transition count identical to the RAM run.
         def run(backend, sub):
             return asdict(FastSnapshotSpec([1, 2, 3], N3_CLASS).explore(
-                engine="batch", fingerprint=True, max_states=3_000,
+                fingerprint=True, max_states=3_000,
                 store=StoreConfig(
                     backend=backend, directory=str(tmp_path / sub)
                 ),

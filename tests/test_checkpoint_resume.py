@@ -18,7 +18,6 @@ import signal
 import pytest
 
 import repro.checker.parallel as parallel
-from repro.checker.batch import HAVE_NUMPY
 from repro.checker.fast_snapshot import FastSnapshotSpec
 from repro.checker.parallel import check_snapshot_classes, explore_sharded
 from repro.store import (
@@ -53,7 +52,6 @@ class TestCheckpointFiles:
         assert write_u64_file(path, iter(keys)) == len(keys)
         assert list(read_u64_file(path)) == keys
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
     def test_array_and_iterable_writes_are_byte_identical(self, tmp_path):
         # Checkpoints written key by key (before array writes existed)
         # must stay resumable: both paths lay down the same bytes.
@@ -67,7 +65,6 @@ class TestCheckpointFiles:
         with pytest.raises(TypeError, match="uint64"):
             write_u64_file(tmp_path / "signed.u64", np.array([-1]))
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
     def test_store_dump_matches_key_stream(self, tmp_path):
         # A spill store (runs + buffer) dumps through its ascending
         # array chunks; the bytes equal a per-key dump of the same set.
@@ -189,14 +186,13 @@ class TestSerialResume:
 
 
 # ----------------------------------------------------------------------
-# Batch engine + POR: die mid-campaign, resume, bit-identical totals
+# POR: die mid-campaign, resume, bit-identical totals
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="batch engine needs numpy")
 class TestBatchPorResume:
     """The level-synchronous selector's choices depend only on the
-    frontier and the checkpointed visited set, so a resumed batch+POR
+    frontier and the checkpointed visited set, so a resumed POR
     run must replay the interrupted one's selections exactly: verdict,
     state count, and every ``PORCounters`` total bit-identical."""
 
@@ -205,7 +201,7 @@ class TestBatchPorResume:
         self, tmp_path, symmetry
     ):
         spec = FastSnapshotSpec([1, 2], WIRING)
-        kwargs = dict(engine="batch", por=True, symmetry=symmetry)
+        kwargs = dict(por=True, symmetry=symmetry)
         uninterrupted = spec.explore(**kwargs)
         assert uninterrupted.por_counters is not None
         meta = {**META, "symmetry": symmetry, "por": True}
@@ -228,7 +224,7 @@ class TestBatchPorResume:
         monkeypatch.setattr(
             parallel, "effective_jobs", lambda requested: requested
         )
-        kwargs = dict(jobs=2, por=True, engine="batch")
+        kwargs = dict(jobs=2, por=True)
         uninterrupted = explore_sharded([1, 2], WIRING, **kwargs)
         assert uninterrupted.por_counters is not None
         meta = {**META, "por": True, "jobs": 2}

@@ -7,9 +7,10 @@ the numpy implementation on arbitrary inputs, because the exploration
 loop treats kernels as interchangeable mid-run (a sharded job may
 resume under a different kernel).  The property tests below therefore
 compare raw arrays, not exploration summaries; the exhaustive N=2
-matrix then checks the composed engine end to end (``asdict``-equal
-for non-POR runs, verdict-conformant under POR, mirroring the
-batch-vs-scalar contract in ``test_batch_engine.py``).
+matrix then checks the composed loop end to end (``asdict``-equal,
+POR runs included, since both kernels drive the same selector).  The
+loop itself is checked against the generic explorer in
+``test_batch_engine.py``, with the native kernel in every cell.
 
 The native kernel is a *soft* capability: no compiler (or
 ``REPRO_NATIVE_DISABLE=1``) must degrade to the numpy kernel with a
@@ -22,17 +23,11 @@ from dataclasses import asdict
 
 import pytest
 
-import repro.checker.batch as batch_mod
+import numpy as np
+
 from repro.checker.batch import explore_batch, make_kernel
 from repro.checker.fast_snapshot import FastSnapshotSpec
 from repro.store import StoreConfig
-
-requires_numpy = pytest.mark.skipif(
-    not batch_mod.HAVE_NUMPY, reason="numpy not installed"
-)
-
-if batch_mod.HAVE_NUMPY:
-    import numpy as np
 
 try:
     from repro.checker.native.loader import native_available
@@ -42,7 +37,7 @@ except Exception:  # pragma: no cover - import error == unavailable
     _native_ok = False
 
 requires_native = pytest.mark.skipif(
-    not _native_ok, reason="native kernel unavailable (no numpy/compiler)"
+    not _native_ok, reason="native kernel unavailable (no C compiler)"
 )
 
 N2_CLASSES = [((0, 1), (0, 1)), ((0, 1), (1, 0))]
@@ -84,7 +79,6 @@ def _edge_states(spec, rng, count=10_000):
     return np.concatenate([edges, states])
 
 
-@requires_numpy
 @requires_native
 class TestMethodBitIdentity:
     """Each overridden method, raw arrays in, raw arrays out."""
@@ -177,7 +171,6 @@ class TestMethodBitIdentity:
             frontier, _ = numpy_kernel.unique_first(np.sort(succ))
 
 
-@requires_numpy
 @requires_native
 class TestExhaustiveN2Matrix:
     """Composed engine, exhaustive N=2: native == numpy field for field."""
@@ -213,9 +206,8 @@ class TestExhaustiveN2Matrix:
     def test_por_runs_are_field_identical_between_kernels(
         self, wiring, symmetry
     ):
-        # vs the *scalar* selector POR is only verdict-conformant, but
-        # the two batch kernels share the level-synchronous selector, so
-        # between themselves even POR runs must match field for field
+        # the two kernels share the level-synchronous selector, so even
+        # POR runs must match field for field
         def run(kernel):
             return asdict(explore_batch(
                 FastSnapshotSpec([1, 2], wiring),
@@ -225,7 +217,6 @@ class TestExhaustiveN2Matrix:
         assert run("numpy") == run("native")
 
 
-@requires_numpy
 @requires_native
 class TestCacheIndex:
     """The spec-keyed index in front of the source-hash cache."""
@@ -284,7 +275,6 @@ class TestCacheIndex:
         )
 
 
-@requires_numpy
 class TestDegradation:
     """No compiler (or an explicit opt-out) must never break a run."""
 
@@ -319,13 +309,13 @@ class TestDegradation:
         monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
         monkeypatch.setattr(loader, "_warned_fallback", False)
         code = main(
-            ["check", "--n", "2", "--engine", "batch", "--kernel", "native"]
+            ["check", "--n", "3", "--budget", "2000", "--kernel", "native"]
         )
         captured = capsys.readouterr()
         assert code == 0
         assert captured.err.count("--kernel native unavailable") == 1
         # the run itself proceeded on the numpy kernel
-        assert "7235 states" in captured.out
+        assert "2000 states" in captured.out
 
     def test_explicit_numpy_kernel_never_warns(self, monkeypatch, capsys):
         import repro.checker.native.loader as loader
@@ -333,7 +323,7 @@ class TestDegradation:
 
         monkeypatch.setattr(loader, "_warned_fallback", False)
         code = main(
-            ["check", "--n", "2", "--engine", "batch", "--kernel", "numpy"]
+            ["check", "--n", "3", "--budget", "2000", "--kernel", "numpy"]
         )
         captured = capsys.readouterr()
         assert code == 0

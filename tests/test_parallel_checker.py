@@ -18,7 +18,6 @@ import pytest
 from repro.checker import Explorer, SystemSpec
 from repro.checker.fast_snapshot import (
     FastSnapshotSpec,
-    _ChunkedIntQueue,
     canonical_wiring_classes,
 )
 from repro.checker.fingerprint import (
@@ -272,7 +271,7 @@ class TestExplorerFingerprintMode:
 
 
 # ----------------------------------------------------------------------
-# Fast-engine budget semantics + the chunked frontier queue
+# Fast-engine budget semantics
 # ----------------------------------------------------------------------
 
 class TestFastBudgetSemantics:
@@ -291,26 +290,6 @@ class TestFastBudgetSemantics:
         spec = FastSnapshotSpec([1, 2], canonical_wiring_classes(2, 2)[0])
         with pytest.raises(ValueError):
             spec.explore(check_wait_freedom=True, fingerprint=True)
-
-
-class TestChunkedIntQueue:
-    def test_fifo_across_chunk_boundaries(self):
-        queue = _ChunkedIntQueue(chunk_size=16)
-        for value in range(1_000):
-            queue.push(value)
-        assert [queue.pop() for _ in range(1_000)] == list(range(1_000))
-        assert queue.pop() == -1
-
-    def test_interleaved_push_pop(self):
-        queue = _ChunkedIntQueue(chunk_size=4)
-        queue.push(10)
-        queue.push(11)
-        assert queue.pop() == 10
-        for value in range(12, 30):
-            queue.push(value)
-        assert queue.pop() == 11
-        assert [queue.pop() for _ in range(18)] == list(range(12, 30))
-        assert queue.pop() == -1
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from array import array
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.checker.parallel import check_snapshot_classes, class_key
@@ -44,10 +45,9 @@ from repro.service.protocol import (
 from repro.service.transport import ServiceClient, ServiceError
 from repro.service.worker import run_worker
 
-try:
-    from repro.checker.batch import HAVE_NUMPY
-except Exception:  # pragma: no cover
-    HAVE_NUMPY = False
+
+#: The engine name whose loop was removed; every entry point refuses it.
+REMOVED_ENGINE = "scalar"
 
 
 def _quiet(line):
@@ -117,10 +117,7 @@ class TestProtocol:
         expected = payload_to_bytes(array("Q", [5, 6]))
         assert payload_to_bytes([5, 6]) == expected
         assert payload_to_bytes(expected) == expected
-        if HAVE_NUMPY:
-            import numpy as np
-
-            assert payload_to_bytes(np.array([5, 6], dtype=np.uint64)) == expected
+        assert payload_to_bytes(np.array([5, 6], dtype=np.uint64)) == expected
 
     def test_reserved_header_key_refused(self):
         with pytest.raises(ProtocolError, match="reserved"):
@@ -220,8 +217,31 @@ class TestHeartbeat:
 
 class TestJobs:
     def test_spec_roundtrip(self):
-        spec = JobSpec(n=2, symmetry=True, engine="batch", shards=8)
+        spec = JobSpec(n=2, symmetry=True, shards=8)
         assert JobSpec.from_dict(spec.to_dict()) == spec
+
+    def test_removed_engine_refused_at_submit(self, tmp_path):
+        with pytest.raises(JobError, match="scalar exploration loop was removed"):
+            JobSpec(engine=REMOVED_ENGINE).validate()
+        with pytest.raises(JobError, match="removed"):
+            JobQueue(tmp_path).submit(JobSpec(engine=REMOVED_ENGINE))
+        assert JobSpec(engine="batch") == JobSpec()
+
+    def test_persisted_removed_engine_refused_on_reload(self, tmp_path):
+        # A record persisted before the scalar loop was removed: reading
+        # it names the removal, and the runner's queue scans skip it
+        # instead of dying on it.
+        queue = JobQueue(tmp_path)
+        stale = queue.submit(JobSpec())
+        payload = stale.to_dict()
+        payload["spec"]["engine"] = "scalar"
+        payload["state"] = "running"
+        queue._path(stale.job_id).write_text(json.dumps(payload))
+        fresh = queue.submit(JobSpec())
+        with pytest.raises(JobError, match=f"{stale.job_id}: .*removed"):
+            queue.get(stale.job_id)
+        assert queue.requeue_interrupted() == []
+        assert queue.next_queued().job_id == fresh.job_id
 
     def test_unknown_spec_keys_refused_with_names(self):
         with pytest.raises(JobError, match="frobnicate"):
@@ -318,8 +338,7 @@ class TestServiceConformance:
         assert record.state == "done", record.error
         assert _service_rows(record) == pipe_rows
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="batch engine needs numpy")
-    def test_batch_engine_matches_pipe_sharded(
+    def test_symmetry_matches_pipe_sharded(
         self, coordinator, monkeypatch
     ):
         # Symmetry runs report recanonicalizations_skipped, a sharding
@@ -335,7 +354,7 @@ class TestServiceConformance:
         )
         pipe_rows = {
             class_key(wiring): asdict(explore_sharded(
-                [1, 2], wiring, jobs=4, engine="batch", symmetry=True,
+                [1, 2], wiring, jobs=4, symmetry=True,
             ))
             for wiring in canonical_wiring_classes(2, 2)
         }
@@ -343,7 +362,7 @@ class TestServiceConformance:
         coordinator.add_worker("w1")
         with ServiceClient(*coordinator.endpoint) as client:
             job_id = client.submit(
-                JobSpec(n=2, shards=4, engine="batch", symmetry=True)
+                JobSpec(n=2, shards=4, symmetry=True)
             )
             record = client.wait(job_id, timeout=120)
         assert record.state == "done", record.error
@@ -394,6 +413,8 @@ class TestServiceConformance:
         with ServiceClient(*coordinator.endpoint) as client:
             with pytest.raises(ServiceError, match="exhaustive"):
                 client.submit(JobSpec(n=2, por=True, budget=10))
+            with pytest.raises(ServiceError, match="loop was removed"):
+                client.submit(JobSpec(n=2, engine=REMOVED_ENGINE))
 
     def test_cancel_running_job(self, coordinator):
         coordinator.add_worker("w0")

@@ -54,12 +54,10 @@ def _noncanonical_reachable():
     assert not canonicalizer.trivial
     frontier = [spec.initial_state()]
     seen = set(frontier)
-    buf = []
     for _ in range(6):
         next_frontier = []
         for state in frontier:
-            spec.successor_states_into(state, buf)
-            for successor in buf:
+            for _pid, successor in spec.successors(state):
                 if successor in seen:
                     continue
                 seen.add(successor)

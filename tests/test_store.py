@@ -20,9 +20,6 @@ Three layers of coverage:
 """
 
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,41 +338,6 @@ class TestSpillModel:
             assert list(store) == sorted(keys)
         finally:
             store.close()
-
-
-class TestSpillWithoutNumpy:
-    """numpy is a soft dependency: a spill store without it is a named
-    error, and ``import repro.store`` never imports numpy."""
-
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        from repro.store import spill as spill_module
-
-        monkeypatch.setattr(spill_module, "np", None)
-
-    def test_create_names_numpy(self, tmp_path, no_numpy):
-        config = StoreConfig(backend="spill", directory=str(tmp_path))
-        with pytest.raises(StoreError, match="numpy is not installed"):
-            config.create()
-
-    def test_cli_exits_2_naming_numpy(self, capsys, no_numpy):
-        from repro.cli import main
-
-        assert main(["check", "--n", "2", "--store", "spill"]) == 2
-        assert "numpy is not installed" in capsys.readouterr().out
-
-    def test_store_package_import_is_numpy_free(self):
-        probe = (
-            "import sys, repro.store;"
-            " from repro.store import StoreConfig;"
-            " StoreConfig(backend='ram').create();"
-            " assert 'numpy' not in sys.modules, 'numpy imported'"
-        )
-        src = Path(__file__).resolve().parent.parent / "src"
-        subprocess.run(
-            [sys.executable, "-c", probe], check=True,
-            env={"PYTHONPATH": str(src)},
-        )
 
 
 class TestClassMemcapPinned:

@@ -17,14 +17,10 @@ Three contracts keep the quotient construction honest:
 
 import os
 import random
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.analysis import aggregate_symmetry_statistics
 from repro.checker import Explorer, SystemSpec
 from repro.checker.fast_snapshot import FastSnapshotSpec, canonical_wiring_classes
@@ -171,27 +167,6 @@ class TestCanonicalInvariance:
                 ),
             })
         assert canonicalizer.element_tables == expected
-
-    def test_symmetry_module_needs_no_numpy(self, tmp_path):
-        # numpy is a soft dependency: building packed-state tables must
-        # work on a host without it.
-        (tmp_path / "numpy.py").write_text(
-            "raise ImportError('numpy hidden for this test')\n"
-        )
-        src = Path(repro.__file__).resolve().parents[1]
-        script = (
-            "from repro.checker.fast_snapshot import FastSnapshotSpec\n"
-            "from repro.checker.symmetry import FastCanonicalizer\n"
-            f"spec = FastSnapshotSpec([1, 2, 3], {IDENTITY_CLASS!r})\n"
-            "print(FastCanonicalizer(spec).order)\n"
-        )
-        env = {**os.environ, "PYTHONPATH": f"{tmp_path}{os.pathsep}{src}"}
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env,
-            capture_output=True, text=True, check=False,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "6"
 
     def test_orbit_size_divides_group_order(self):
         spec = _snapshot_spec(3)
