@@ -33,7 +33,7 @@ packed states (the common case in BFS) spread uniformly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import TYPE_CHECKING, Hashable
 
 from repro.checker.constants import (
     MASK64,
@@ -101,21 +101,6 @@ def fingerprint_state(state: Hashable) -> int:
     fingerprint distribution.
     """
     return splitmix64(hash(state) & _MASK64)
-
-
-def is_cross_process_stable(fingerprint_fn: Callable[..., int]) -> bool:
-    """True iff ``fingerprint_fn`` yields identical digests in every
-    interpreter process.
-
-    :func:`fingerprint_int` is pure splitmix64 arithmetic — stable
-    everywhere.  :func:`fingerprint_state` builds on ``hash()``, which
-    Python randomizes per interpreter (``PYTHONHASHSEED``): its digests
-    are only meaningful within one process tree, so sharding by them
-    across independently-started workers, or persisting them to disk
-    for a later resume, silently corrupts deduplication.  The storage
-    layer (:mod:`repro.store`) consults this before doing either.
-    """
-    return fingerprint_fn is fingerprint_int
 
 
 def collision_probability(n_states: int) -> float:

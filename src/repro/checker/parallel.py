@@ -16,10 +16,11 @@ for the day one class outgrows a single core.  Every state is owned by
 the shard ``fingerprint_int(state) % jobs`` (the deterministic packed
 -integer fingerprint, *not* Python's randomized object hash, so all
 workers — even spawn-started ones — agree on ownership).  Workers hold
-the visited set of their own shard only, expand one BFS layer per
-round, and hand successors owned by other shards back to the driver,
-which routes them; per-shard statistics are merged in shard order, so
-two runs with the same ``jobs`` produce identical results.
+the visited set of their own shard only and expand one BFS layer per
+round; everything between rounds is decided by
+:class:`~repro.checker.rounds.RoundDriver`, the state machine the
+service coordinator drives too, so two runs with the same ``jobs``
+produce identical results over pipes or sockets.
 
 Exhaustive runs are partition-invariant: the sharded engine reports
 exactly the serial engine's ``(states, transitions, ok)`` because both
@@ -40,7 +41,7 @@ import os
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,14 +52,24 @@ from repro.checker.fast_snapshot import (
     canonical_wiring_classes,
     require_batch_engine,
 )
-from repro.checker.fingerprint import fingerprint_int
-from repro.store.base import StoreConfig, require_cross_process_stable
+from repro.checker.rounds import (
+    Finish,
+    RoundDriver,
+    ShardReply,
+    WorkerDied,
+    WriteCheckpoint,
+)
+from repro.store.base import StoreConfig
 from repro.store.checkpoint import (
     RunCheckpointer,
     SweepCheckpoint,
     load_result,
-    write_u64_file,
+    read_u64_file,
+    write_u64_chunks,
 )
+
+if TYPE_CHECKING:
+    from repro.store.base import U64Array
 
 WiringClass = Tuple[Tuple[int, ...], ...]
 
@@ -316,16 +327,15 @@ class ShardEngine:
     semantically.
 
     :meth:`process_round` admits a round's new entries into the visited
-    set, expands that BFS layer, and returns ``(admitted, transitions,
-    violation, outboxes, covered, skipped, por_counters)`` where
-    ``outboxes`` maps each shard id to the u64 array of successor
-    entries it owns and ``por_counters`` is the shard's *cumulative*
-    reduction statistics (``None`` without ``por``).  For
-    checkpointing, :meth:`dump_to` streams the visited keys to a u64
-    file and :meth:`load_from` bulk-loads a previous dump;
-    :meth:`visited_keys` / :meth:`load_keys` do the same through memory
-    for transports that move dumps over the wire instead of a shared
-    filesystem.
+    set, expands that BFS layer, and returns a
+    :class:`~repro.checker.rounds.ShardReply`: ``outboxes`` maps each
+    shard id to the u64 array of successor entries it owns and ``por``
+    is the shard's *cumulative* reduction statistics (``None`` without
+    ``por``).  For checkpointing, :meth:`dump_to` writes the visited
+    keys to a u64 file and :meth:`load_from` bulk-loads a previous
+    dump; :meth:`visited_keys` / :meth:`load_keys` do the same through
+    memory for transports that move dumps over the wire instead of a
+    shared filesystem.
 
     The visited set lives in the configured :mod:`repro.store` backend,
     namespaced per shard (``shard-NNN/`` by default;
@@ -439,17 +449,18 @@ class ShardEngine:
 
     def dump_to(self, path: Path) -> int:
         """Stream the shard's visited keys to ``path`` as a u64 array."""
-        return write_u64_file(Path(path), iter(self.seen))
+        return write_u64_chunks(Path(path), self.seen.chunks())
 
     def load_from(self, path: Path) -> int:
         """Bulk-load a previous :meth:`dump_to` file (resume)."""
-        from repro.store.checkpoint import read_u64_file
-
         return self.seen.load(read_u64_file(Path(path)))
 
-    def visited_keys(self) -> List[int]:
-        """The visited keys as a list (wire-transported checkpoints)."""
-        return list(self.seen)
+    def visited_keys(self) -> "U64Array":
+        """The visited keys as one u64 array (wire-transported
+        checkpoints), in :meth:`dump_to` order."""
+        return np.concatenate([np.zeros(0, dtype=np.uint64)] + [
+            np.asarray(chunk, dtype=np.uint64) for chunk in self.seen.chunks()
+        ])
 
     def load_keys(self, keys: Sequence[int]) -> int:
         """Bulk-load visited keys received over a transport."""
@@ -524,57 +535,45 @@ class ShardEngine:
                 part = wire[owners == np.uint64(owner)]
                 if part.size:
                     outboxes[owner] = part
-        return (
-            n_admitted, transitions, violation, outboxes, covered, skipped,
-            self.batch_selector.counters.as_dict()
+        return ShardReply(
+            admitted=n_admitted,
+            transitions=transitions,
+            violation=violation,
+            outboxes=outboxes,
+            covered=covered,
+            skipped=skipped,
+            por=self.batch_selector.counters.as_dict()
             if self.batch_selector is not None
             else None,
         )
 
 
-def _shard_worker(
-    conn,
-    inputs: Tuple[int, ...],
-    wiring: WiringClass,
-    level_target: Optional[int],
-    shard: int,
-    n_shards: int,
-    check_safety: bool,
-    fingerprint: bool,
-    symmetry: bool = False,
-    store_config: Optional[StoreConfig] = None,
-    por: bool = False,
-    kernel: str = "auto",
-) -> None:
-    """Pipe transport around one :class:`ShardEngine`.
+def _shard_worker(conn, *engine_args, **engine_kwargs) -> None:
+    """Pipe transport around one ``ShardEngine(*engine_args,
+    **engine_kwargs)``.
 
-    Protocol: driver sends ``("round", entries)``; the engine processes
-    the layer and the worker replies ``("layer", admitted, transitions,
-    violation, outboxes, covered, skipped, por_counters)``.
-    ``("stop",)`` terminates.  For checkpointing, ``("dump", path)``
-    streams the shard's visited keys to ``path`` as a u64 array and
-    replies ``("dumped", count)``; ``("load", path)`` bulk-loads a
-    previous dump (resume) and replies ``("loaded", count)``.  All
+    Protocol: the driver sends ``("round", entries)`` and the worker
+    replies ``("layer", ShardReply)``.  ``("dump", path)`` writes the
+    shard's visited keys to ``path`` as a u64 array and replies
+    ``("dumped", count)``; ``("load", path)`` bulk-loads a previous
+    dump (resume) and replies ``("loaded", count)``.  ``("stop",)``
+    terminates; a failure replies ``("error", message)``.  All
     exploration semantics live in :class:`ShardEngine`.
     """
     shard_engine = None
     try:
-        shard_engine = ShardEngine(
-            inputs, wiring, level_target, shard, n_shards, check_safety,
-            fingerprint, symmetry=symmetry, store_config=store_config,
-            por=por, kernel=kernel,
-        )
+        shard_engine = ShardEngine(*engine_args, **engine_kwargs)
+        handlers = {
+            "round": ("layer", shard_engine.process_round),
+            "dump": ("dumped", shard_engine.dump_to),
+            "load": ("loaded", shard_engine.load_from),
+        }
         while True:
             message = conn.recv()
             if message[0] == "stop":
                 break
-            if message[0] == "dump":
-                conn.send(("dumped", shard_engine.dump_to(Path(message[1]))))
-                continue
-            if message[0] == "load":
-                conn.send(("loaded", shard_engine.load_from(Path(message[1]))))
-                continue
-            conn.send(("layer",) + shard_engine.process_round(message[1]))
+            kind, handler = handlers[message[0]]
+            conn.send((kind, handler(message[1])))
     except EOFError:  # driver went away mid-run
         pass
     except Exception as exc:  # surface worker crashes to the driver
@@ -588,6 +587,68 @@ def _shard_worker(
         conn.close()
 
 
+class _PipeShards:
+    """The pipe transport of :func:`explore_sharded`: one forked
+    :func:`_shard_worker` per shard, driven request/response."""
+
+    def __init__(self, worker_args: Sequence[Tuple], hint: str) -> None:
+        self.hint = hint
+        self.connections: List = []
+        self.processes: List = []
+        ctx = _mp_context()
+        try:
+            for args in worker_args:
+                parent_conn, child_conn = ctx.Pipe()
+                process = ctx.Process(
+                    target=_shard_worker, args=(child_conn,) + args,
+                    daemon=True,
+                )
+                process.start()
+                child_conn.close()
+                self.connections.append(parent_conn)
+                self.processes.append(process)
+        except BaseException:
+            self.close()
+            raise
+
+    def exchange(self, messages: Sequence[Tuple], expect: str) -> List:
+        """Send ``messages[s]`` to shard ``s``, then collect every
+        shard's reply value; a dead or failing shard raises
+        :class:`WorkerDied`."""
+        for shard, message in enumerate(messages):
+            try:
+                self.connections[shard].send(message)
+            except (OSError, BrokenPipeError):
+                raise self._died(shard, "pipe closed") from None
+        replies = []
+        for shard, conn in enumerate(self.connections):
+            try:
+                kind, value = conn.recv()
+            except (EOFError, OSError):
+                # A SIGKILLed worker surfaces as EOF or ECONNRESET
+                # depending on where the pipe read was when it died.
+                raise self._died(shard, "pipe closed") from None
+            if kind != expect:
+                raise self._died(shard, f"{kind}: {value}")
+            replies.append(value)
+        return replies
+
+    def _died(self, shard: int, reason: str) -> WorkerDied:
+        return WorkerDied(f"shard {shard} worker died mid-run ({reason}){self.hint}")
+
+    def close(self) -> None:
+        for conn in self.connections:
+            try:
+                conn.send(("stop",))
+            except (OSError, BrokenPipeError):
+                pass
+            conn.close()
+        for process in self.processes:
+            process.join(timeout=5)
+            if process.is_alive():  # pragma: no cover - defensive
+                process.terminate()
+
+
 def explore_sharded(
     inputs: Sequence[int],
     wiring: WiringClass,
@@ -599,7 +660,6 @@ def explore_sharded(
     symmetry: bool = False,
     store: Optional[StoreConfig] = None,
     checkpointer: Optional[RunCheckpointer] = None,
-    fingerprint_fn: Callable[[int], int] = fingerprint_int,
     _after_checkpoint: Optional[Callable[[], None]] = None,
     por: bool = False,
     kernel: str = "auto",
@@ -607,63 +667,62 @@ def explore_sharded(
 ) -> FastExplorationResult:
     """Frontier-sharded BFS over one wiring class across ``jobs`` cores.
 
-    Level-synchronous: each round every worker expands exactly one BFS
-    layer of its shard and exchanges boundary states through the
-    driver.  The driver merges per-shard statistics in shard order and
-    applies the state budget at layer boundaries, so the result is
-    deterministic for a fixed ``jobs`` — and equal to the serial
-    engine's on any exhaustive (non-truncated) run.  ``jobs`` is capped
-    at the host's core count (:func:`effective_jobs`).
+    One forked :class:`ShardEngine` per shard expands one BFS layer per
+    round; the round logic — merge in shard order, budget at layer
+    boundaries, POR totals, checkpoints — is the
+    :class:`~repro.checker.rounds.RoundDriver` the service coordinator
+    runs too, and this function is its pipe transport.  The result is
+    deterministic for a fixed ``jobs`` and equal to the serial engine's
+    on any exhaustive (non-truncated) run.  ``jobs`` is capped at the
+    host's core count (:func:`effective_jobs`); ``jobs=1``, or a host
+    where worker processes cannot start, runs the serial engine
+    in-process instead.
 
-    With ``symmetry`` the shards jointly explore the quotient graph:
-    workers canonicalize successors before the ownership fingerprint
-    (so orbits have unique owners) and the merged result carries
-    ``covered_states``.  Boundary states cross the wire as ``(state <<
-    1) | canonical_bit``; the bit certifies the sender's
-    canonicalization, so receivers skip the (previously duplicated)
-    re-canonicalization of every boundary state — the merged result
-    reports the skips as ``recanonicalizations_skipped``.
+    ``symmetry``, ``por``, ``fingerprint``, ``kernel`` and ``store``
+    configure every shard's engine (see :class:`ShardEngine`; stores
+    are namespaced ``shard-NNN/``).  With ``symmetry`` the result also
+    reports ``recanonicalizations_skipped``; with ``por`` its
+    ``por_counters`` depend on the shard partition, its verdict does
+    not.  State encodings above 63 bits are rejected (wire entries are
+    ``(state << 1) | canonical_bit`` in a u64 word).  Wait-freedom
+    (lasso) analysis needs the cross-shard edge list and is not offered
+    here; run the serial engine with ``check_wait_freedom=True``.
 
-    Every shard worker runs :class:`ShardEngine` on a level kernel
-    (``kernel``: ``auto``/``numpy``/``native``,
-    :func:`repro.checker.batch.make_kernel`; the generated native
-    library is disk-cached, so concurrent shard workers share one
-    compile) and boundary batches cross the pipes as numpy u64 arrays.
-    Wire entries are ``(state << 1) | canonical_bit`` in a u64 word, so
-    state encodings above 63 bits are rejected.
-
-    Wait-freedom (lasso) analysis needs the full cross-shard edge list
-    and is deliberately not offered here; run the serial engine with
-    ``check_wait_freedom=True`` for that (N=2 certification does).
-
-    ``store`` selects each shard's visited-set backend (namespaced
-    ``shard-NNN/`` under the store directory).  ``fingerprint_fn`` must
-    be cross-process stable — digests decide shard ownership and land
-    in checkpoint files, so per-interpreter functions like
-    ``fingerprint_state`` are rejected up front.  ``checkpointer``
-    persists the run at BFS-layer boundaries (per-shard visited dumps +
-    the pending boundary frontier); a killed run resumes from the last
-    committed checkpoint with an identical final result.
-    ``_after_checkpoint`` is a test seam invoked after every committed
-    checkpoint.
-
-    ``por`` enables ample-set partial-order reduction inside every
-    shard (the sharded cycle proviso trusts only locally-owned novelty
-    — see :class:`ShardEngine`); the merged result sums per-shard
-    ``por_counters`` and checkpoints persist the running totals, so
-    resumed runs report statistics over the whole exploration.  Its
-    verdicts equal the unreduced run's; its counts depend on the shard
-    partition.
+    ``checkpointer`` persists the run at BFS-layer boundaries; a killed
+    run resumes from the last committed checkpoint with an identical
+    final result.  A worker that dies mid-run raises
+    :class:`~repro.checker.rounds.WorkerDied`.  ``_after_checkpoint``
+    is a test seam invoked after every committed checkpoint;
+    ``heartbeat`` ticks before every round.
     """
     spec = FastSnapshotSpec(inputs, wiring, level_target=level_target)
     jobs = effective_jobs(jobs)
-    if spec.state_bits > 63:
-        raise ValueError(
-            f"sharded wire entries are (state << 1) | canonical_bit in a"
-            f" u64 word; this configuration packs states into"
-            f" {spec.state_bits} bits"
+    driver = RoundDriver(
+        spec, jobs, max_states, symmetry=symmetry, por=por,
+        checkpointer=checkpointer,
+    )
+    shards = None
+    if jobs > 1:
+        action = driver.start()
+        if isinstance(action, Finish):
+            return action.result
+        hint = (
+            " — resume from the checkpoint directory (repro check --resume)"
+            if checkpointer is not None
+            else ""
         )
-    if jobs <= 1:
+        try:
+            shards = _PipeShards(
+                [
+                    (tuple(inputs), wiring, level_target, shard, jobs,
+                     check_safety, fingerprint, symmetry, store, por, kernel)
+                    for shard in range(jobs)
+                ],
+                hint,
+            )
+        except OSError:  # pragma: no cover - process-less environments
+            pass
+    if shards is None:
         return spec.explore(
             max_states=max_states,
             check_safety=check_safety,
@@ -675,261 +734,30 @@ def explore_sharded(
             kernel=kernel,
             heartbeat=heartbeat,
         )
-    # Shard ownership and checkpoint files both carry digests across
-    # process boundaries: a per-interpreter fingerprint would silently
-    # mis-shard, so refuse it here rather than corrupt the run.
-    require_cross_process_stable(fingerprint_fn)
-    if checkpointer is not None:
-        recorded = checkpointer.completed_result()
-        if recorded is not None:
-            return load_result(FastExplorationResult, recorded)
-
-    canonicalizer = None
-    if symmetry:
-        from repro.checker.symmetry import FastCanonicalizer
-
-        canonicalizer = FastCanonicalizer(spec)
-
-    def _died(shard: int) -> RuntimeError:
-        hint = (
-            " — resume from the checkpoint directory (repro check --resume)"
-            if checkpointer is not None
-            else ""
-        )
-        return RuntimeError(
-            f"shard {shard} worker died mid-run (pipe closed){hint}"
-        )
-
-    def _recv(shard: int):
-        try:
-            return connections[shard].recv()
-        except (EOFError, OSError):
-            # A SIGKILLed worker surfaces as EOF or ECONNRESET depending
-            # on where the pipe read was when the process died.
-            raise _died(shard) from None
-
-    def _send(shard: int, message) -> None:
-        try:
-            connections[shard].send(message)
-        except (OSError, BrokenPipeError):
-            raise _died(shard) from None
-
-    def _finish(result: FastExplorationResult) -> FastExplorationResult:
-        if checkpointer is not None:
-            checkpointer.mark_complete(asdict(result))
-        return result
-
-    ctx = _mp_context()
-    connections = []
-    workers = []
     try:
-        try:
-            for shard in range(jobs):
-                parent_conn, child_conn = ctx.Pipe()
-                process = ctx.Process(
-                    target=_shard_worker,
-                    args=(
-                        child_conn, tuple(inputs), wiring, level_target,
-                        shard, jobs, check_safety, fingerprint, symmetry,
-                        store, por, kernel,
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                connections.append(parent_conn)
-                workers.append(process)
-        except OSError:  # pragma: no cover - process-less environments
-            return spec.explore(
-                max_states=max_states,
-                check_safety=check_safety,
-                fingerprint=fingerprint,
-                symmetry=symmetry,
-                store=store,
-                checkpointer=checkpointer,
-                por=por,
-                kernel=kernel,
+        if driver.resume_dumps:
+            shards.exchange(
+                [("load", path) for path in driver.resume_dumps],
+                "loaded",
             )
-
-        states = 0
-        transitions = 0
-        complete = True
-        covered: Optional[int] = 0 if symmetry else None
-        group_order = canonicalizer.order if canonicalizer is not None else None
-        recanon_skipped: Optional[int] = 0 if symmetry else None
-        violation: Optional[str] = None
-        # POR totals = checkpointed base + each worker's cumulative
-        # snapshot (workers report running totals every layer, so the
-        # latest snapshot per shard is the whole post-resume story).
-        por_keys = (
-            "transitions_pruned", "ample_states", "fully_expanded_states",
-            "cycle_proviso_expansions",
-        )
-        por_base: Dict[str, int] = {}
-        shard_por: List[Optional[Dict[str, int]]] = [None] * jobs
-
-        def _por_totals() -> Optional[Dict[str, int]]:
-            if not por:
-                return None
-            totals = {key: por_base.get(key, 0) for key in por_keys}
-            for snapshot in shard_por:
-                if snapshot:
-                    for key, value in snapshot.items():
-                        totals[key] = totals.get(key, 0) + value
-            return totals
-
-        resumed = checkpointer.latest() if checkpointer is not None else None
-        if resumed is not None:
-            states = resumed.counter("admitted")
-            transitions = resumed.counter("transitions")
-            if covered is not None:
-                covered = resumed.counter("covered")
-            if recanon_skipped is not None:
-                recanon_skipped = resumed.counter("skipped")
-            if por:
-                por_base = {
-                    key: int(resumed.counters.get(key, 0)) for key in por_keys
-                }
-            inboxes: Dict[int, List[int]] = {}
-            for entry in resumed.frontier():
-                owner = fingerprint_fn(entry >> 1) % jobs
-                inboxes.setdefault(owner, []).append(entry)
-            for shard in range(jobs):
-                path = resumed.directory / f"visited-{shard:03d}.u64"
-                _send(shard, ("load", str(path)))
-            for shard in range(jobs):
-                reply = _recv(shard)
-                if reply[0] != "loaded":
-                    raise RuntimeError(
-                        f"shard {shard} failed to load its visited dump:"
-                        f" {reply!r}"
-                    )
-        else:
-            initial = spec.initial_state()
-            canonical_bit = 0
-            if canonicalizer is not None:
-                initial = canonicalizer.canonical(initial)
-                if not canonicalizer.trivial:
-                    canonical_bit = 1
-            inboxes = {
-                fingerprint_fn(initial) % jobs: [
-                    (initial << 1) | canonical_bit
-                ]
-            }
-
-        while inboxes:
-            if heartbeat is not None:
-                heartbeat.tick(
-                    states,
-                    sum(len(batch) for batch in inboxes.values()),
-                    transitions,
+        while not isinstance(action, Finish):
+            if isinstance(action, WriteCheckpoint):
+                shards.exchange(
+                    [("dump", path) for path in action.dumps], "dumped"
                 )
-            for shard in range(jobs):
-                _send(shard, ("round", inboxes.get(shard, [])))
-            outboxes: Dict[int, List[int]] = {}
-            for shard in range(jobs):
-                reply = _recv(shard)
-                if reply[0] == "error":
-                    raise RuntimeError(f"shard {shard} failed: {reply[1]}")
-                (_, admitted, shard_transitions, shard_violation, out,
-                 shard_covered, shard_skipped, shard_por_counters) = reply
-                if shard_por_counters is not None:
-                    shard_por[shard] = shard_por_counters
-                states += admitted
-                transitions += shard_transitions
-                if shard_covered is not None and covered is not None:
-                    covered += shard_covered
-                if recanon_skipped is not None:
-                    recanon_skipped += shard_skipped
-                if shard_violation is not None and violation is None:
-                    violation = shard_violation
-                # Workers ship whole numpy arrays per owner; keep them as
-                # array parts and concatenate once per round so the
-                # boundary states never degrade to Python ints.
-                for owner, boundary in out.items():
-                    outboxes.setdefault(owner, []).append(boundary)
-            if violation is not None:
-                return _finish(FastExplorationResult(
-                    states=states,
-                    transitions=transitions,
-                    complete=True,
-                    violation=violation,
-                    covered_states=covered,
-                    symmetry_group_order=group_order,
-                    recanonicalizations_skipped=recanon_skipped,
-                    por_counters=_por_totals(),
-                ))
-            inboxes = {}
-            for owner, parts in outboxes.items():
-                merged = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                if merged.size:
-                    inboxes[owner] = merged
-            if states >= max_states and inboxes:
-                complete = False
-                truncated = sum(len(batch) for batch in inboxes.values())
-                return _finish(FastExplorationResult(
-                    states=states,
-                    transitions=transitions,
-                    complete=False,
-                    truncated_transitions=truncated,
-                    covered_states=covered,
-                    symmetry_group_order=group_order,
-                    recanonicalizations_skipped=recanon_skipped,
-                    por_counters=_por_totals(),
-                ))
-            if (
-                checkpointer is not None
-                and inboxes
-                and checkpointer.due(states)
-            ):
-                staging = checkpointer.begin()
-                for shard in range(jobs):
-                    path = staging / f"visited-{shard:03d}.u64"
-                    _send(shard, ("dump", str(path)))
-                for shard in range(jobs):
-                    reply = _recv(shard)
-                    if reply[0] != "dumped":
-                        raise RuntimeError(
-                            f"shard {shard} failed to dump its visited set:"
-                            f" {reply!r}"
-                        )
-                write_u64_file(
-                    staging / "frontier.u64",
-                    (
-                        entry
-                        for owner in sorted(inboxes)
-                        for entry in inboxes[owner]
-                    ),
-                )
-                counters = {
-                    "admitted": states,
-                    "transitions": transitions,
-                    "covered": covered if covered is not None else 0,
-                    "skipped": (
-                        recanon_skipped if recanon_skipped is not None else 0
-                    ),
-                }
-                por_totals = _por_totals()
-                if por_totals is not None:
-                    counters.update(por_totals)
-                checkpointer.commit(staging, counters)
+                action = driver.commit(action)
                 if _after_checkpoint is not None:
                     _after_checkpoint()
-
-        return _finish(FastExplorationResult(
-            states=states, transitions=transitions, complete=complete,
-            covered_states=covered, symmetry_group_order=group_order,
-            recanonicalizations_skipped=recanon_skipped,
-            por_counters=_por_totals(),
-        ))
+                continue
+            if heartbeat is not None:
+                heartbeat.tick(
+                    driver.states, action.frontier, driver.transitions
+                )
+            replies = shards.exchange(
+                [("round", action.inbox(shard)) for shard in range(jobs)],
+                "layer",
+            )
+            action = driver.merge(dict(enumerate(replies)))
+        return action.result
     finally:
-        for conn in connections:
-            try:
-                conn.send(("stop",))
-            except (OSError, BrokenPipeError):
-                pass
-            conn.close()
-        for process in workers:
-            process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
+        shards.close()

@@ -17,19 +17,20 @@ frame's ``hello`` names the role):
   :func:`repro.checker.parallel.explore_sharded`.
 
 Determinism contract: a job fixes its *logical* shard count up front
-(``JobSpec.shards``); states are owned by ``fingerprint % shards``
-exactly as in the pipe engine, workers are assigned shard subsets, and
-the driver merges per-shard layer results in ascending logical-shard
-order — the same order the pipe driver's ``for shard in range(jobs)``
-loop produces.  Inboxes concatenate contributions in sender-shard
-order, violations are taken from the lowest reporting shard, and
-budgets truncate at layer boundaries.  The result: the service verdict
-is bit-identical to a serial or pipe-sharded run of the same spec, no
-matter how many workers served it — or how many died.
+(``JobSpec.shards``) and workers are assigned shard subsets.  The round
+loop itself is :class:`~repro.checker.rounds.RoundDriver`, the same
+state machine ``explore_sharded`` drives over pipes: it routes states
+by ``fingerprint % shards``, merges per-shard replies in ascending
+logical-shard order, takes the violation from the lowest reporting
+shard and truncates budgets at layer boundaries.  This module is its
+socket transport: it moves inboxes, ``layer`` replies and visited
+dumps.  The result: the service verdict is bit-identical to a serial
+or pipe-sharded run of the same spec, no matter how many workers
+served it — or how many died.
 
-Elasticity: the run checkpoints through the PR 4
-:class:`~repro.store.checkpoint.RunCheckpointer` machinery (per-logical
--shard visited dumps + the pending frontier) every
+Elasticity: the driver checkpoints through
+:class:`~repro.store.checkpoint.RunCheckpointer` (per-logical-shard
+visited dumps + the pending frontier) every
 ``JobSpec.checkpoint_every`` admitted states.  When a worker dies
 mid-round (socket EOF from a SIGKILL, a timeout from a partition, or
 an ``error`` frame), the epoch increments and the class **rolls back
@@ -49,7 +50,6 @@ import contextlib
 import json
 import time
 import traceback
-from array import array
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -59,30 +59,28 @@ from repro.checker.fast_snapshot import (
     FastSnapshotSpec,
     canonical_wiring_classes,
 )
-from repro.checker.fingerprint import fingerprint_int
 from repro.checker.parallel import class_key
+from repro.checker.rounds import (
+    Action,
+    Finish,
+    RoundDriver,
+    ShardReply,
+    WorkerDied,
+    WriteCheckpoint,
+)
 from repro.service.jobs import JobError, JobQueue, JobRecord, JobSpec
 from repro.service.protocol import (
     ConnectionClosed,
+    Frame,
     ProtocolError,
     read_frame,
     write_frame,
 )
 from repro.store.checkpoint import (
     RunCheckpointer,
-    load_result,
     read_u64_file,
     write_u64_file,
 )
-
-_POR_KEYS = (
-    "transitions_pruned", "ample_states", "fully_expanded_states",
-    "cycle_proviso_expansions",
-)
-
-
-class WorkerDied(RuntimeError):
-    """A worker connection failed mid-conversation."""
 
 
 class _JobCancelled(Exception):
@@ -119,7 +117,7 @@ class WorkerHandle:
         header: Dict[str, Any],
         payloads: Tuple[object, ...] = (),
         timeout: Optional[float] = None,
-    ) -> Tuple[Dict[str, Any], List["array[int]"]]:
+    ) -> Frame:
         if not self.alive:
             raise WorkerDied(f"worker {self.name} is gone")
         try:
@@ -500,38 +498,31 @@ class Coordinator:
         self, record: JobRecord, index: int, wiring: Tuple[Tuple[int, ...], ...]
     ) -> FastExplorationResult:
         spec = record.spec
-        inputs = tuple(range(1, spec.n + 1))
-        fast_spec = FastSnapshotSpec(inputs, wiring)
-        if fast_spec.state_bits > 63:
-            raise JobFailed(
-                f"service wire entries are (state << 1) | canonical_bit in"
-                f" a u64 word; this configuration packs states into"
-                f" {fast_spec.state_bits} bits"
-            )
+        fast_spec = FastSnapshotSpec(tuple(range(1, spec.n + 1)), wiring)
         checkpointer = RunCheckpointer(
             self.queue.job_dir(record.job_id) / f"class-{index:03d}",
             meta={**spec.meta(), "class": class_key(wiring)},
             every=spec.checkpoint_every,
         )
-        recorded = checkpointer.completed_result()
-        if recorded is not None:
-            return load_result(FastExplorationResult, recorded)
-
-        canonicalizer = None
-        if spec.symmetry:
-            from repro.checker.symmetry import FastCanonicalizer
-
-            canonicalizer = FastCanonicalizer(fast_spec)
-        n_shards = spec.shards
-        max_states = spec.budget if spec.budget else 10 ** 9
         epoch = 0
-
         while True:  # rollback loop: one iteration per worker epoch
+            # Each epoch restarts the driver from the last committed
+            # checkpoint (or from scratch when there is none yet).
+            try:
+                driver = RoundDriver(
+                    fast_spec, spec.shards, spec.budget or 10 ** 9,
+                    symmetry=spec.symmetry, por=spec.por,
+                    checkpointer=checkpointer,
+                )
+            except ValueError as exc:
+                raise JobFailed(str(exc)) from None
+            action = driver.start()
+            if isinstance(action, Finish):
+                return action.result
             fleet = await self._acquire_fleet(record)
             try:
                 return await self._run_class_epoch(
-                    record, index, wiring, fast_spec, canonicalizer,
-                    checkpointer, fleet, epoch, n_shards, max_states,
+                    record, index, wiring, driver, action, fleet, epoch,
                 )
             except WorkerDied as exc:
                 epoch += 1
@@ -549,25 +540,21 @@ class Coordinator:
         record: JobRecord,
         index: int,
         wiring: Tuple[Tuple[int, ...], ...],
-        fast_spec: FastSnapshotSpec,
-        canonicalizer,
-        checkpointer: RunCheckpointer,
+        driver: RoundDriver,
+        action: Action,
         fleet: List[WorkerHandle],
         epoch: int,
-        n_shards: int,
-        max_states: int,
     ) -> FastExplorationResult:
+        """The socket transport of one epoch: configure the fleet, then
+        answer the driver's actions until it finishes."""
         spec = record.spec
         # Static shard assignment for this epoch: round-robin over the
         # fleet in name order.  The *logical* partition (fingerprint %
         # n_shards) never changes, so any assignment yields identical
         # results; round-robin balances the load.
         assignment: Dict[str, List[int]] = {w.name: [] for w in fleet}
-        owner_of: Dict[int, WorkerHandle] = {}
-        for shard in range(n_shards):
-            worker = fleet[shard % len(fleet)]
-            assignment[worker.name].append(shard)
-            owner_of[shard] = worker
+        for shard in range(driver.n_shards):
+            assignment[fleet[shard % len(fleet)].name].append(shard)
         for worker in fleet:
             worker.shards = assignment[worker.name]
 
@@ -576,10 +563,10 @@ class Coordinator:
             "epoch": epoch,
             "job_id": record.job_id,
             "class_index": index,
-            "inputs": list(fast_spec.inputs),
+            "inputs": list(driver.spec.inputs),
             "wiring": [list(perm) for perm in wiring],
             "level_target": None,
-            "n_shards": n_shards,
+            "n_shards": driver.n_shards,
             "check_safety": True,
             "fingerprint": spec.fingerprint,
             "symmetry": spec.symmetry,
@@ -591,177 +578,61 @@ class Coordinator:
         }
         await asyncio.gather(*(
             worker.request(
-                {**configure, "shards": assignment[worker.name]},
+                {**configure, "shards": worker.shards},
                 timeout=self.round_timeout_s,
             )
             for worker in fleet
         ))
+        await asyncio.gather(*(
+            fleet[shard % len(fleet)].request(
+                {"type": "load", "shard": shard}, (read_u64_file(path),),
+                timeout=self.round_timeout_s,
+            )
+            for shard, path in enumerate(driver.resume_dumps)
+        ))
 
-        states = 0
-        transitions = 0
-        covered: Optional[int] = 0 if spec.symmetry else None
-        group_order = (
-            canonicalizer.order if canonicalizer is not None else None
-        )
-        recanon_skipped: Optional[int] = 0 if spec.symmetry else None
-        violation: Optional[str] = None
-        por_base: Dict[str, int] = {}
-        shard_por: List[Optional[Dict[str, int]]] = [None] * n_shards
-
-        def _por_totals() -> Optional[Dict[str, int]]:
-            if not spec.por:
-                return None
-            totals = {key: por_base.get(key, 0) for key in _POR_KEYS}
-            for snapshot in shard_por:
-                if snapshot:
-                    for key, value in snapshot.items():
-                        totals[key] = totals.get(key, 0) + value
-            return totals
-
-        def _finish(result: FastExplorationResult) -> FastExplorationResult:
-            checkpointer.mark_complete(asdict(result))
-            return result
-
-        inboxes: Dict[int, "array[int]"] = {}
-        resumed = checkpointer.latest()
-        if resumed is not None:
-            states = resumed.counter("admitted")
-            transitions = resumed.counter("transitions")
-            if covered is not None:
-                covered = resumed.counter("covered")
-            if recanon_skipped is not None:
-                recanon_skipped = resumed.counter("skipped")
-            if spec.por:
-                por_base = {
-                    key: int(resumed.counters.get(key, 0))
-                    for key in _POR_KEYS
-                }
-            for entry in resumed.frontier():
-                owner = fingerprint_int(entry >> 1) % n_shards
-                inboxes.setdefault(owner, array("Q")).append(entry)
-            await asyncio.gather(*(
-                owner_of[shard].request(
-                    {"type": "load", "shard": shard},
-                    (read_u64_file(
-                        resumed.directory / f"visited-{shard:03d}.u64"
-                    ),),
-                    timeout=self.round_timeout_s,
-                )
-                for shard in range(n_shards)
-            ))
-        else:
-            initial = fast_spec.initial_state()
-            canonical_bit = 0
-            if canonicalizer is not None:
-                initial = canonicalizer.canonical(initial)
-                if not canonicalizer.trivial:
-                    canonical_bit = 1
-            inboxes = {
-                fingerprint_int(initial) % n_shards: array(
-                    "Q", [(initial << 1) | canonical_bit]
-                )
-            }
-
-        seq = 0
-        while inboxes:
+        while not isinstance(action, Finish):
+            if isinstance(action, WriteCheckpoint):
+                dumps = await asyncio.gather(*(
+                    worker.request(
+                        {"type": "dump", "shards": worker.shards},
+                        timeout=self.round_timeout_s,
+                    )
+                    for worker in fleet
+                    if worker.shards
+                ))
+                for reply, data in dumps:
+                    for position, shard in enumerate(reply["shards"]):
+                        write_u64_file(
+                            action.dumps[int(shard)], data[position]
+                        )
+                action = driver.commit(action)
+                self._publish(record.job_id, {
+                    "type": "progress", "job_id": record.job_id,
+                    "progress": dict(record.progress),
+                    "checkpoint": {"admitted": driver.states, "epoch": epoch},
+                })
+                continue
             if self._is_cancelled(record):
                 raise _JobCancelled()
-            seq += 1
-            frontier_size = sum(len(batch) for batch in inboxes.values())
+            round_ = action
             replies = await asyncio.gather(*(
                 worker.request(
-                    {
-                        "type": "round", "seq": seq,
-                        "shards": assignment[worker.name],
-                    },
-                    tuple(
-                        inboxes.get(shard, array("Q"))
-                        for shard in assignment[worker.name]
-                    ),
+                    {"type": "round", "seq": round_.seq, "shards": worker.shards},
+                    tuple(round_.inbox(shard) for shard in worker.shards),
                     timeout=self.round_timeout_s,
                 )
                 for worker in fleet
             ))
-            # Merge in ascending *logical shard* order — the exact
-            # order the pipe driver's `for shard in range(jobs)` loop
-            # merges in, so counts, violation choice, and truncation
-            # points are identical by construction.
-            per_shard: Dict[int, Tuple[Dict[str, Any], List["array[int]"]]] = {}
-            for (reply, data) in replies:
-                for shard_result in reply["results"]:
-                    per_shard[int(shard_result["shard"])] = (
-                        shard_result, data
-                    )
-            parts: Dict[int, List["array[int]"]] = {}
-            for shard in range(n_shards):
-                if shard not in per_shard:
-                    raise WorkerDied(
-                        f"no worker reported shard {shard} in round {seq}"
-                    )
-                shard_result, data = per_shard[shard]
-                states += int(shard_result["admitted"])
-                transitions += int(shard_result["transitions"])
-                if shard_result.get("covered") is not None and covered is not None:
-                    covered += int(shard_result["covered"])
-                if recanon_skipped is not None:
-                    recanon_skipped += int(shard_result.get("skipped") or 0)
-                if shard_result.get("por") is not None:
-                    shard_por[shard] = dict(shard_result["por"])
-                if shard_result.get("violation") and violation is None:
-                    violation = str(shard_result["violation"])
-                for dest, payload_index in shard_result.get("outboxes", []):
-                    parts.setdefault(int(dest), []).append(
-                        data[int(payload_index)]
-                    )
-            self._publish_round(record, states, transitions, frontier_size)
-            if violation is not None:
-                return _finish(FastExplorationResult(
-                    states=states,
-                    transitions=transitions,
-                    complete=True,
-                    violation=violation,
-                    covered_states=covered,
-                    symmetry_group_order=group_order,
-                    recanonicalizations_skipped=recanon_skipped,
-                    por_counters=_por_totals(),
-                ))
-            inboxes = {}
-            for dest, contributions in parts.items():
-                merged = array("Q")
-                for contribution in contributions:
-                    merged.extend(contribution)
-                if merged:
-                    inboxes[dest] = merged
-            if states >= max_states and inboxes:
-                truncated = sum(len(batch) for batch in inboxes.values())
-                return _finish(FastExplorationResult(
-                    states=states,
-                    transitions=transitions,
-                    complete=False,
-                    truncated_transitions=truncated,
-                    covered_states=covered,
-                    symmetry_group_order=group_order,
-                    recanonicalizations_skipped=recanon_skipped,
-                    por_counters=_por_totals(),
-                ))
-            if inboxes and checkpointer.due(states):
-                await self._checkpoint(
-                    checkpointer, owner_of, assignment, fleet, inboxes,
-                    states, transitions, covered, recanon_skipped,
-                    _por_totals(),
-                )
-                self._publish(record.job_id, {
-                    "type": "progress", "job_id": record.job_id,
-                    "progress": dict(record.progress),
-                    "checkpoint": {"admitted": states, "epoch": epoch},
-                })
-
-        return _finish(FastExplorationResult(
-            states=states, transitions=transitions, complete=True,
-            covered_states=covered, symmetry_group_order=group_order,
-            recanonicalizations_skipped=recanon_skipped,
-            por_counters=_por_totals(),
-        ))
+            action = driver.merge({
+                int(entry["shard"]): ShardReply.from_layer(entry, data)
+                for reply, data in replies
+                for entry in reply["results"]
+            })
+            self._publish_round(
+                record, driver.states, driver.transitions, round_.frontier
+            )
+        return action.result
 
     def _publish_round(
         self,
@@ -801,52 +672,6 @@ class Coordinator:
                 if key != "_at"
             },
         })
-
-    async def _checkpoint(
-        self,
-        checkpointer: RunCheckpointer,
-        owner_of: Dict[int, WorkerHandle],
-        assignment: Dict[str, List[int]],
-        fleet: List[WorkerHandle],
-        inboxes: Dict[int, "array[int]"],
-        states: int,
-        transitions: int,
-        covered: Optional[int],
-        recanon_skipped: Optional[int],
-        por_totals: Optional[Dict[str, int]],
-    ) -> None:
-        staging = checkpointer.begin()
-        dumps = await asyncio.gather(*(
-            worker.request(
-                {"type": "dump", "shards": assignment[worker.name]},
-                timeout=self.round_timeout_s,
-            )
-            for worker in fleet
-            if assignment[worker.name]
-        ))
-        for reply, data in dumps:
-            for position, shard in enumerate(reply["shards"]):
-                write_u64_file(
-                    staging / f"visited-{int(shard):03d}.u64",
-                    iter(data[position]),
-                )
-        write_u64_file(
-            staging / "frontier.u64",
-            (
-                entry
-                for owner in sorted(inboxes)
-                for entry in inboxes[owner]
-            ),
-        )
-        counters: Dict[str, Any] = {
-            "admitted": states,
-            "transitions": transitions,
-            "covered": covered if covered is not None else 0,
-            "skipped": recanon_skipped if recanon_skipped is not None else 0,
-        }
-        if por_totals is not None:
-            counters.update(por_totals)
-        checkpointer.commit(staging, counters)
 
 
 class JobFailed(RuntimeError):

@@ -18,8 +18,11 @@ configured engines and never initiates anything.  The coordinator owns
 scheduling, checkpoints, and elasticity; a worker that dies is simply
 re-assigned (see :mod:`repro.service.coordinator`).  All exploration
 semantics live in :class:`~repro.checker.parallel.ShardEngine` — the
-same class the pipe workers run — which is what makes service results
-bit-identical to local sharded runs.
+same class the pipe workers run — and each round's
+:class:`~repro.checker.rounds.ShardReply` goes out as one entry of the
+``layer`` frame (:meth:`~repro.checker.rounds.ShardReply.to_layer`),
+which is what makes service results bit-identical to local sharded
+runs.
 """
 
 from __future__ import annotations
@@ -112,24 +115,10 @@ def _round_reply(
         engine = state.engines.get(shard)
         if engine is None:
             raise ProtocolError(f"shard {shard} is not configured here")
-        (admitted, transitions, violation, outboxes, covered, skipped,
-         por_counters) = engine.process_round(batch)
-        state.states += admitted
-        state.transitions += transitions
-        outbox_refs = []
-        for dest in sorted(outboxes):
-            outbox_refs.append([dest, len(out_payloads)])
-            out_payloads.append(outboxes[dest])
-        results.append({
-            "shard": shard,
-            "admitted": admitted,
-            "transitions": transitions,
-            "violation": violation,
-            "covered": covered,
-            "skipped": skipped,
-            "por": por_counters,
-            "outboxes": outbox_refs,
-        })
+        reply = engine.process_round(batch)
+        state.states += reply.admitted
+        state.transitions += reply.transitions
+        results.append(reply.to_layer(shard, out_payloads))
     state.busy_ms += (time.monotonic() - started) * 1000.0
     state.rounds += 1
     return (
@@ -194,7 +183,7 @@ def serve_connection(
                 )
             elif kind == "load":
                 shard = int(header["shard"])
-                count = state.engines[shard].load_keys(list(payloads[0]))
+                count = state.engines[shard].load_keys(payloads[0])
                 io.send({"type": "loaded", "shard": shard, "count": count})
             else:
                 io.send({"type": "error",

@@ -34,7 +34,6 @@ from itertools import islice
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -112,31 +111,6 @@ def u64_chunks(keys: Iterable[int]) -> Iterator["array[int]"]:
         if not chunk:
             return
         yield chunk
-
-
-def require_cross_process_stable(fingerprint_fn: Callable[..., int]) -> None:
-    """Refuse per-interpreter fingerprints for cross-process storage.
-
-    ``fingerprint_state`` builds on ``hash()``, which Python randomizes
-    per interpreter: digests from one process are meaningless in
-    another, so sharding by them across workers or persisting them for
-    resume would silently mis-shard / mis-deduplicate.  Everything that
-    moves fingerprints across process boundaries calls this first and
-    fails loudly instead.
-    """
-    # Imported lazily: repro.checker's package __init__ pulls in the
-    # engines, which import this module — a top-level import here would
-    # close the cycle.
-    from repro.checker.fingerprint import is_cross_process_stable
-
-    if not is_cross_process_stable(fingerprint_fn):
-        name = getattr(fingerprint_fn, "__name__", repr(fingerprint_fn))
-        raise StoreError(
-            f"{name} digests are randomized per interpreter (PYTHONHASHSEED),"
-            " so they cannot be sharded across worker processes or persisted"
-            " for resume — use the deterministic fingerprint_int (the packed"
-            "-integer engines) for cross-process runs"
-        )
 
 
 class FingerprintStore(ABC):

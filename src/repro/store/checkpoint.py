@@ -80,10 +80,12 @@ def write_u64_file(
 ) -> int:
     """Write unsigned 64-bit ``keys`` to ``path``; return the count.
 
-    A u64 ndarray goes out in one ``tofile`` call; any other iterable
-    of ints is streamed in ``array('Q')`` chunks.  Both write the same
-    raw native-endian words.
+    A u64 ndarray or an ``array('Q')`` goes out in one ``tofile`` call;
+    any other iterable of ints is streamed in ``array('Q')`` chunks.
+    All write the same raw native-endian words.
     """
+    if isinstance(keys, array) and keys.typecode == "Q":
+        return write_u64_chunks(path, [keys])
     dtype = getattr(keys, "dtype", None)
     if dtype is None:
         return write_u64_chunks(path, u64_chunks(keys))

@@ -12,14 +12,17 @@ refusal, and the completed-run short-circuit.
 """
 
 import json
+import multiprocessing
 import os
 import signal
+from array import array
 
 import pytest
 
 import repro.checker.parallel as parallel
 from repro.checker.fast_snapshot import FastSnapshotSpec
 from repro.checker.parallel import check_snapshot_classes, explore_sharded
+from repro.checker.rounds import WorkerDied
 from repro.store import (
     CheckpointError,
     CheckpointIncompatible,
@@ -59,9 +62,12 @@ class TestCheckpointFiles:
 
         keys = [0, 1, 2**63, 2**64 - 1] + list(range(10_000, 60_000, 7))
         as_array, as_ints = tmp_path / "array.u64", tmp_path / "ints.u64"
+        as_words = tmp_path / "words.u64"
         assert write_u64_file(as_array, np.array(keys, dtype=np.uint64)) == len(keys)
         assert write_u64_file(as_ints, iter(keys)) == len(keys)
+        assert write_u64_file(as_words, array("Q", keys)) == len(keys)
         assert as_array.read_bytes() == as_ints.read_bytes()
+        assert as_words.read_bytes() == as_ints.read_bytes()
         with pytest.raises(TypeError, match="uint64"):
             write_u64_file(tmp_path / "signed.u64", np.array([-1]))
 
@@ -342,6 +348,30 @@ class TestShardedKillResume:
         assert [_signature(r) for r in results] == [
             _signature(r) for r in uninterrupted
         ]
+
+    def test_killed_worker_raises_worker_died(self):
+        class KillOnSecondRound:
+            rounds = 0
+
+            def tick(self, *_counts):
+                self.rounds += 1
+                if self.rounds == 2:
+                    victim = multiprocessing.active_children()[0]
+                    os.kill(victim.pid, signal.SIGKILL)
+
+        with pytest.raises(WorkerDied, match="pipe closed"):
+            explore_sharded(
+                [1, 2], WIRING, jobs=2, heartbeat=KillOnSecondRound()
+            )
+
+    def test_failing_worker_raises_worker_died(self, monkeypatch):
+        def explode(self, batch):
+            raise ValueError("shard exploded")
+
+        # Forked workers inherit the patched engine.
+        monkeypatch.setattr(parallel.ShardEngine, "process_round", explode)
+        with pytest.raises(WorkerDied, match="ValueError: shard exploded"):
+            explore_sharded([1, 2], WIRING, jobs=2)
 
     def test_completed_sharded_run_short_circuits(self, tmp_path):
         meta = {**META, "jobs": 2}

@@ -72,38 +72,39 @@ class TestWorkerProtocol:
     def test_flagged_entries_skip_recanonicalization(self):
         spec = FastSnapshotSpec([1, 2], WIRING)
         canonical = FastCanonicalizer(spec).canonical(spec.initial_state())
-        [reply] = _run_rounds([[(canonical << 1) | 1]])
-        kind, admitted, _transitions, violation, outboxes, covered, skipped, _por = reply
-        assert kind == "layer" and violation is None
-        assert admitted == 1 and skipped == 1
-        assert covered >= 1
+        [(kind, reply)] = _run_rounds([[(canonical << 1) | 1]])
+        assert kind == "layer" and reply.violation is None
+        assert reply.admitted == 1 and reply.skipped == 1
+        assert reply.covered >= 1
         # Successors leave a symmetry worker already canonicalized, so
         # every outgoing entry carries the bit.
         assert all(
-            entry & 1 for entries in outboxes.values() for entry in entries
+            entry & 1
+            for entries in reply.outboxes.values()
+            for entry in entries
         )
 
     def test_unflagged_orbit_mates_are_canonicalized_and_deduped(self):
         _spec, canonicalizer, state = _noncanonical_reachable()
         representative = canonicalizer.canonical(state)
         entries = [(representative << 1) | 1, (state << 1) | 0]
-        [reply] = _run_rounds([entries])
-        _kind, admitted, _t, _violation, _outboxes, _covered, skipped, _por = reply
+        [(_kind, reply)] = _run_rounds([entries])
         # The unflagged orbit mate is canonicalized on receipt and lands
         # on the already-admitted representative; only the flagged entry
         # counts as a skip.
-        assert admitted == 1
-        assert skipped == 1
+        assert reply.admitted == 1
+        assert reply.skipped == 1
 
     def test_plain_runs_never_set_the_bit(self):
         spec = FastSnapshotSpec([1, 2], WIRING)
         initial = spec.initial_state()
-        [reply] = _run_rounds([[(initial << 1) | 0]], symmetry=False)
-        _kind, admitted, _t, _violation, outboxes, covered, skipped, _por = reply
-        assert admitted == 1 and skipped == 0 and covered is None
+        [(_kind, reply)] = _run_rounds([[(initial << 1) | 0]], symmetry=False)
+        assert (
+            reply.admitted == 1 and reply.skipped == 0 and reply.covered is None
+        )
         assert all(
             entry & 1 == 0
-            for entries in outboxes.values()
+            for entries in reply.outboxes.values()
             for entry in entries
         )
 

@@ -9,10 +9,9 @@ Three layers of coverage:
   spill store also against a Python-set model under random operation
   sequences, and pinned to exact counters on the benchmark's
   mem-capped class;
-- **guards**: >64-bit keys and per-interpreter fingerprint functions
-  are rejected loudly, and engine/store combinations that cannot work
-  (object tables on disk, wait-freedom on a digest store) raise up
-  front;
+- **guards**: >64-bit keys are rejected loudly, and engine/store
+  combinations that cannot work (object tables on disk, wait-freedom on
+  a digest store) raise up front;
 - **conformance**: the exhaustive N=2 exploration reports identical
   states/transitions/verdicts whatever the backend, with and without
   fingerprinting and symmetry reduction — the property the disk
@@ -24,12 +23,9 @@ import random
 import numpy as np
 import pytest
 
-import repro.checker.parallel as parallel
 from repro.analysis.statistics import aggregate_store_statistics
 from repro.checker import Explorer, SystemSpec
 from repro.checker.fast_snapshot import FastSnapshotSpec
-from repro.checker.fingerprint import fingerprint_state
-from repro.checker.parallel import explore_sharded
 from repro.checker.properties import SNAPSHOT_SAFETY
 from repro.core import SnapshotMachine
 from repro.memory.wiring import WiringAssignment
@@ -39,7 +35,6 @@ from repro.store import (
     StoreConfig,
     StoreError,
     StoreFullError,
-    require_cross_process_stable,
 )
 
 WIRING = ((0, 1), (0, 1))
@@ -410,19 +405,6 @@ class TestGuards:
     def test_nonpositive_mem_cap_rejected(self):
         with pytest.raises(StoreError, match="mem_cap"):
             StoreConfig(backend="spill", mem_cap=0)
-
-    def test_per_interpreter_fingerprint_rejected(self):
-        with pytest.raises(StoreError, match="PYTHONHASHSEED"):
-            require_cross_process_stable(fingerprint_state)
-
-    def test_sharded_run_refuses_fingerprint_state(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel, "effective_jobs", lambda requested: requested
-        )
-        with pytest.raises(StoreError, match="fingerprint_state"):
-            explore_sharded(
-                [1, 2], WIRING, jobs=2, fingerprint_fn=fingerprint_state
-            )
 
     def test_wait_freedom_requires_ram_store(self, tmp_path):
         spec = FastSnapshotSpec([1, 2], WIRING)
